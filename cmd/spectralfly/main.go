@@ -28,7 +28,7 @@
 // Without -full each experiment runs a scaled-down configuration with
 // the same structure (seconds instead of minutes); -full reproduces the
 // paper's exact instance sizes. Simulation sweeps execute on the
-// parallel run scheduler (internal/runner): -parallel N sizes the
+// sweep executor (internal/sweep): -parallel N sizes the
 // worker pool (0 = GOMAXPROCS, 1 = serial) without changing any
 // result. -workers N additionally shards each simulation across N
 // parallel workers (0/1 keeps the bit-identical serial engine; with

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -31,10 +29,10 @@ type ScalePoint struct {
 	DegradedDelivered float64
 	DegradedP99       float64
 	// PeakTableBytes is the largest distance-store footprint the
-	// runner's memo held at any cell boundary of this instance's runs.
+	// sweep's memo held at any cell boundary of this instance's runs.
 	// The maximum lands in the repair window, where the intact and the
 	// freshly repaired table are briefly memoized together (the intact
-	// one is released before the degraded point's jobs run). This is
+	// one is released before the degraded point's cells run). This is
 	// the number the 1.5 GB budget of the 40K class is checked against.
 	PeakTableBytes int64
 	// PeakSimBytes is the largest simulator working set any cell of
@@ -145,7 +143,7 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]*SimInstance, error) {
 // next begins, so PeakTableBytes reflects the per-instance working
 // set, which the packed oracle keeps under the 1.5 GB class budget.
 //
-// Like every simulation driver, job seeds derive from stable keys:
+// Like every simulation driver, cell seeds derive from stable keys:
 // results are bit-identical across Parallel settings and across
 // storage backends (the oracles report identical distances).
 func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
@@ -159,18 +157,6 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 	}
 	points := make([]ScalePoint, 0, len(instances))
 	for _, si := range instances {
-		// A fresh engine per instance keeps the memo (and therefore the
-		// peak-bytes sample) scoped to one rung at a time. Both grids of
-		// the rung share it, so the degraded grid repairs the saturation
-		// grid's memoized table instead of rebuilding.
-		pool := opts.Parallel
-		if pool == 0 && opts.Workers > 1 {
-			if pool = runtime.GOMAXPROCS(0) / opts.Workers; pool < 1 {
-				pool = 1
-			}
-		}
-		r := runner.New(pool)
-		r.SetTableOptions(routing.TableOptions{Store: opts.Store, MaxResident: opts.MaxResident})
 		pt := ScalePoint{
 			Topology:  si.Name,
 			Routers:   si.Inst.G.N(),
@@ -178,8 +164,14 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			Store:     opts.Store.String(),
 		}
 		runOpts := sweep.Options{
-			Runner:  r,
-			Workers: opts.Workers,
+			Parallel: opts.Parallel,
+			Workers:  opts.Workers,
+			Tables:   routing.TableOptions{Store: opts.Store, MaxResident: opts.MaxResident},
+			// A fresh memo per instance keeps the peak-bytes sample scoped
+			// to one rung at a time. Both grids of the rung share it, so
+			// the degraded grid repairs the saturation grid's memoized
+			// table instead of rebuilding.
+			Memo: &sweep.Memo{},
 			// Track the peak across every batch and repair boundary; the
 			// maximum lands in the repair window, where the intact and
 			// the freshly repaired table are briefly memoized together

@@ -20,9 +20,9 @@ type SimInstance struct {
 	table         *routing.Table
 }
 
-// Table lazily builds (and caches) the routing table. Sweeps executed
-// through internal/runner memoize tables per instance on their own;
-// this accessor serves direct (non-runner) callers.
+// Table lazily builds (and caches) the routing table. Sweeps memoize
+// tables per instance on their own; this accessor serves direct
+// (non-sweep) callers.
 func (s *SimInstance) Table() *routing.Table {
 	if s.table == nil {
 		s.table = routing.NewTable(s.Inst.G)
@@ -220,7 +220,7 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 // Fig8 compares Valiant to minimal routing on SpectralFly only: the
 // value is max-time(minimal) / max-time(Valiant) per pattern and load
 // (>1 means Valiant helps). Both policy legs of every point run as
-// independent jobs on the shared runner, but both legs run with
+// independent cells of one grid, but both legs run with
 // Seed = opts.Seed (matching the old serial driver): they replay the
 // same traffic realization (identical arrival times and
 // destinations), so the ratio isolates the routing-policy effect

@@ -2,23 +2,28 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/routing"
 	"repro/internal/runner"
+	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
-// handRolledFig6 is the pre-declarative Fig6 driver, kept verbatim as
-// the overhead baseline: it builds the (topology × pattern × load) job
-// set by hand and runs it directly on internal/runner, exactly as
-// every exp driver did before the sweep-core rewire. The benchmark and
-// gate below hold the generic core to within 5% of it.
+// handRolledFig6 is the overhead baseline: the Fig6 grid built by hand
+// straight on the simulator — one routing table, simulator prototype
+// and rank mapping per instance, then every (topology × pattern ×
+// load) point on a private clone, over a plain worker pool. The
+// benchmark and gate below hold the generic sweep core to within 5%
+// of it.
 func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	pol, pats := routing.UGALL, traffic.SyntheticPatterns
 	opts = opts.withDefaults(scale)
@@ -26,44 +31,70 @@ func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]runner.Job, 0, len(instances)*len(pats)*len(opts.Loads))
-	for _, si := range instances {
-		for _, pat := range pats {
-			for _, load := range opts.Loads {
-				key := fmt.Sprintf("load/%s/%s/%s/%v", si.Name, pol, pat, load)
-				jobs = append(jobs, runner.Job{
-					Key:           key,
-					Inst:          si.Inst,
-					Concentration: si.Concentration,
-					Policy:        pol,
-					Kind:          runner.Load,
-					Pattern:       pat,
-					Load:          load,
-					Ranks:         opts.Ranks,
-					MsgsPerRank:   opts.MsgsPerRank,
-					MappingSeed:   opts.Seed,
-					Seed:          runner.DeriveSeed(opts.Seed, key),
-				})
-			}
-		}
+	// Each instance's table, prototype and mapping are built once, by
+	// whichever worker first needs them.
+	type shared struct {
+		proto *simnet.Network
+		mp    traffic.Mapping
 	}
-	results := runner.New(opts.Parallel).Run(jobs)
+	prep := make([]func() (shared, error), len(instances))
+	for i, si := range instances {
+		prep[i] = sync.OnceValues(func() (shared, error) {
+			nw, err := simnet.New(simnet.Config{Topo: si.Inst.G, Concentration: si.Concentration},
+				routing.NewTable(si.Inst.G))
+			if err != nil {
+				return shared{}, err
+			}
+			mp, err := traffic.NewMapping(opts.Ranks, nw.Endpoints(), opts.Seed)
+			return shared{nw, mp}, err
+		})
+	}
+
 	nPats, nLoads := len(pats), len(opts.Loads)
-	at := func(i, p, l int) *runner.Result { return &results[(i*nPats+p)*nLoads+l] }
+	stats := make([]simnet.Stats, len(instances)*nPats*nLoads)
+	errs := make([]error, len(stats))
+	work := make(chan int)
+	workers := opts.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range work {
+				i, p, l := j/(nPats*nLoads), j/nLoads%nPats, j%nLoads
+				sh, err := prep[i]()
+				if err != nil {
+					errs[j] = err
+					continue
+				}
+				si, pat, load := instances[i], pats[p], opts.Loads[l]
+				key := fmt.Sprintf("load/%s/%s/%s/%v", si.Name, pol, pat, load)
+				nw := sh.proto.Clone()
+				nw.SetPolicy(pol)
+				nw.SetSeed(runner.DeriveSeed(opts.Seed, key))
+				stats[j] = nw.RunLoad(sh.mp.PatternEndpoints(pat, opts.Ranks), load, opts.MsgsPerRank)
+			}
+		}()
+	}
+	for j := range stats {
+		work <- j
+	}
+	close(work)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+
+	at := func(i, p, l int) simnet.Stats { return stats[(i*nPats+p)*nLoads+l] }
 	dfIdx := len(instances) - 1
-	points := make([]LoadPoint, 0, len(jobs))
+	points := make([]LoadPoint, 0, len(stats))
 	for i, si := range instances {
 		for p, pat := range pats {
 			for l, load := range opts.Loads {
-				res := at(i, p, l)
-				if res.Err != nil {
-					return nil, res.Err
-				}
-				baseRes := at(dfIdx, p, l)
-				if baseRes.Err != nil {
-					return nil, baseRes.Err
-				}
-				st, base := res.Stats, baseRes.Stats.MaxLatency
+				st, base := at(i, p, l), at(dfIdx, p, l).MaxLatency
 				sp := 0.0
 				if st.MaxLatency > 0 {
 					sp = float64(base) / float64(st.MaxLatency)

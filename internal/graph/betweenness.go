@@ -5,6 +5,73 @@ import (
 	"sync"
 )
 
+// betweennessBlocks caps the number of contiguous source blocks the
+// Brandes fan-outs split their sources into. It is a constant, not a
+// function of GOMAXPROCS: each block is summed in source order and the
+// block partials are folded in block order, so the floating-point
+// rounding — and therefore every centrality score — is bit-identical
+// on any machine. Graphs with at most this many vertices get one
+// source per block, which reproduces the serial summation exactly.
+const betweennessBlocks = 256
+
+// sourceFold schedules a Brandes fan-out in a fixed order: sources
+// split into at most betweennessBlocks contiguous blocks, workers claim
+// blocks in increasing order, and a worker folds its finished block
+// into out only once every earlier block is folded.
+type sourceFold struct {
+	n, blocks int
+	out       []float64
+	mu        sync.Mutex
+	turn      sync.Cond
+	next      int // next unclaimed block
+	folded    int // blocks folded into out so far
+}
+
+// claim hands out the next block's source range [lo, hi).
+func (f *sourceFold) claim() (blk, lo, hi int, ok bool) {
+	f.mu.Lock()
+	blk = f.next
+	f.next++
+	f.mu.Unlock()
+	if blk >= f.blocks {
+		return 0, 0, 0, false
+	}
+	return blk, blk * f.n / f.blocks, (blk + 1) * f.n / f.blocks, true
+}
+
+// fold adds block blk's partial to out once every earlier block is in.
+func (f *sourceFold) fold(blk int, acc []float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.folded != blk {
+		f.turn.Wait()
+	}
+	for i, x := range acc {
+		f.out[i] += x
+	}
+	f.folded++
+	f.turn.Broadcast()
+}
+
+// foldSources runs worker on min(GOMAXPROCS, blocks) goroutines and
+// returns the length-size sum of their folded block partials. Each
+// worker owns one partial buffer, so at most GOMAXPROCS partials are
+// live.
+func (g *Graph) foldSources(size int, worker func(f *sourceFold)) []float64 {
+	f := &sourceFold{n: g.N(), blocks: min(g.N(), betweennessBlocks), out: make([]float64, size)}
+	f.turn.L = &f.mu
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), f.blocks); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(f)
+		}()
+	}
+	wg.Wait()
+	return f.out
+}
+
 // BetweennessCentrality computes exact unweighted vertex betweenness
 // via Brandes' algorithm, parallelized over source vertices. §V of the
 // SpectralFly paper motivates non-minimal routing by exactly this
@@ -15,34 +82,25 @@ import (
 // The returned scores count ordered source-target pairs (the
 // conventional unnormalized definition halves this for undirected
 // graphs; callers comparing topologies can use either consistently).
+// They are bit-identical for every GOMAXPROCS (see sourceFold).
 func (g *Graph) BetweennessCentrality() []float64 {
 	n := g.N()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	partials := make([][]float64, workers)
-	work := make(chan int, n)
-	for s := 0; s < n; s++ {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			bc := make([]float64, n)
-			partials[w] = bc
-			// Brandes working state, reused across sources.
-			stack := make([]int32, 0, n)
-			preds := make([][]int32, n)
-			sigma := make([]float64, n)
-			dist := make([]int32, n)
-			delta := make([]float64, n)
-			queue := make([]int32, n)
-			for s := range work {
-				stack = stack[:0]
+	return g.foldSources(n, func(f *sourceFold) {
+		bc := make([]float64, n)
+		// Brandes working state, reused across sources. The BFS queue
+		// doubles as the stack of the dependency phase.
+		preds := make([][]int32, n)
+		sigma := make([]float64, n)
+		dist := make([]int32, n)
+		delta := make([]float64, n)
+		queue := make([]int32, n)
+		for {
+			blk, lo, hi, ok := f.claim()
+			if !ok {
+				return
+			}
+			clear(bc)
+			for s := lo; s < hi; s++ {
 				for i := 0; i < n; i++ {
 					preds[i] = preds[i][:0]
 					sigma[i] = 0
@@ -52,11 +110,9 @@ func (g *Graph) BetweennessCentrality() []float64 {
 				sigma[s] = 1
 				dist[s] = 0
 				queue[0] = int32(s)
-				head, tail := 0, 1
-				for head < tail {
+				tail := 1
+				for head := 0; head < tail; head++ {
 					v := queue[head]
-					head++
-					stack = append(stack, v)
 					for _, u := range g.Neighbors(int(v)) {
 						if dist[u] < 0 {
 							dist[u] = dist[v] + 1
@@ -69,66 +125,48 @@ func (g *Graph) BetweennessCentrality() []float64 {
 						}
 					}
 				}
-				for i := len(stack) - 1; i >= 0; i-- {
-					v := stack[i]
-					for _, u := range preds[v] {
-						delta[u] += sigma[u] / sigma[v] * (1 + delta[v])
+				for i := tail - 1; i > 0; i-- {
+					w := queue[i]
+					for _, u := range preds[w] {
+						delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
 					}
-					if int(v) != s {
-						bc[v] += delta[v]
-					}
+					bc[w] += delta[w]
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	out := make([]float64, n)
-	for _, bc := range partials {
-		if bc == nil {
-			continue
+			f.fold(blk, bc)
 		}
-		for v, x := range bc {
-			out[v] += x
-		}
-	}
-	return out
+	})
 }
 
 // EdgeBetweennessCentrality computes exact unweighted edge betweenness
 // (Brandes' accumulation applied to edges), returned aligned with
 // Edges(). For group-structured topologies like DragonFly the global
 // links concentrate shortest paths — the §V bottleneck — while
-// expander links stay near-uniform.
+// expander links stay near-uniform. Like BetweennessCentrality, the
+// scores are bit-identical for every GOMAXPROCS.
 func (g *Graph) EdgeBetweennessCentrality() []float64 {
 	n := g.N()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
 	// Accumulate per directed CSR slot, then fold to undirected edges.
-	partials := make([][]float64, workers)
-	work := make(chan int, n)
-	for s := 0; s < n; s++ {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eb := make([]float64, len(g.neigh))
-			partials[w] = eb
-			stack := make([]int32, 0, n)
-			preds := make([][]int32, n) // positions in neigh (directed slots into v)
-			sigma := make([]float64, n)
-			dist := make([]int32, n)
-			delta := make([]float64, n)
-			queue := make([]int32, n)
-			for s := range work {
-				stack = stack[:0]
+	// The dependency phase rescans each vertex's neighbors for its
+	// shortest-path predecessors (those one step closer to the source)
+	// instead of storing them, so the dependency of edge u→w lands in
+	// w's own slot w→u. The fold below adds both slots of an edge, and
+	// float addition is commutative, so which direction a slot stands
+	// for does not change the sum.
+	folded := g.foldSources(len(g.neigh), func(f *sourceFold) {
+		eb := make([]float64, len(g.neigh))
+		sigma := make([]float64, n)
+		dist := make([]int32, n)
+		delta := make([]float64, n)
+		queue := make([]int32, n)
+		for {
+			blk, lo, hi, ok := f.claim()
+			if !ok {
+				return
+			}
+			clear(eb)
+			for s := lo; s < hi; s++ {
 				for i := 0; i < n; i++ {
-					preds[i] = preds[i][:0]
 					sigma[i] = 0
 					dist[i] = -1
 					delta[i] = 0
@@ -136,13 +174,10 @@ func (g *Graph) EdgeBetweennessCentrality() []float64 {
 				sigma[s] = 1
 				dist[s] = 0
 				queue[0] = int32(s)
-				head, tail := 0, 1
-				for head < tail {
+				tail := 1
+				for head := 0; head < tail; head++ {
 					v := queue[head]
-					head++
-					stack = append(stack, v)
-					for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-						u := g.neigh[i]
+					for _, u := range g.Neighbors(int(v)) {
 						if dist[u] < 0 {
 							dist[u] = dist[v] + 1
 							queue[tail] = u
@@ -150,35 +185,23 @@ func (g *Graph) EdgeBetweennessCentrality() []float64 {
 						}
 						if dist[u] == dist[v]+1 {
 							sigma[u] += sigma[v]
-							// Slot i is the directed edge v→u.
-							preds[u] = append(preds[u], i)
 						}
 					}
 				}
-				for i := len(stack) - 1; i >= 0; i-- {
-					v := stack[i]
-					for _, slot := range preds[v] {
-						// slot is directed u→v; recover u by ownership.
-						u := slotOwner(g, slot)
-						c := sigma[u] / sigma[v] * (1 + delta[v])
-						delta[u] += c
-						eb[slot] += c
+				for i := tail - 1; i > 0; i-- {
+					w := queue[i]
+					for j := g.offsets[w]; j < g.offsets[w+1]; j++ {
+						if u := g.neigh[j]; dist[u] == dist[w]-1 {
+							c := sigma[u] / sigma[w] * (1 + delta[w])
+							delta[u] += c
+							eb[j] += c
+						}
 					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	folded := make([]float64, len(g.neigh))
-	for _, eb := range partials {
-		if eb == nil {
-			continue
+			f.fold(blk, eb)
 		}
-		for i, x := range eb {
-			folded[i] += x
-		}
-	}
-	// Fold directed slots onto the undirected edge list (u < v order).
+	})
 	edges := g.Edges()
 	index := make(map[[2]int32]int, len(edges))
 	for i, e := range edges {
@@ -196,21 +219,6 @@ func (g *Graph) EdgeBetweennessCentrality() []float64 {
 		}
 	}
 	return out
-}
-
-// slotOwner returns the vertex that owns CSR slot i (binary search over
-// offsets).
-func slotOwner(g *Graph, slot int32) int32 {
-	lo, hi := 0, g.N()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.offsets[mid+1] <= slot {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
 }
 
 // EdgeBetweenness returns the max/mean/ratio profile of edge

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -96,5 +98,45 @@ func TestBetweennessDisconnected(t *testing.T) {
 	bc := b.Build().BetweennessCentrality()
 	for _, x := range bc {
 		approxF(t, x, 0, 1e-12, "disconnected pairs contribute nothing")
+	}
+}
+
+// TestBetweennessGOMAXPROCSInvariant pins the fixed-order fan-out:
+// vertex and edge betweenness are bit-identical at every GOMAXPROCS,
+// both on a graph small enough for one source per block and on one
+// large enough that blocks hold several sources.
+func TestBetweennessGOMAXPROCSInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{120, 700} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		b := NewBuilder(n)
+		for v := 0; v < n; v++ {
+			b.AddEdge(v, (v+1)%n) // a ring keeps the graph connected
+			for k := 0; k < 3; k++ {
+				if u := rng.Intn(n); u != v {
+					b.AddEdge(v, u)
+				}
+			}
+		}
+		g := b.Build()
+		var refV, refE []float64
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			bc, eb := g.BetweennessCentrality(), g.EdgeBetweennessCentrality()
+			if refV == nil {
+				refV, refE = bc, eb
+				continue
+			}
+			for v := range bc {
+				if math.Float64bits(bc[v]) != math.Float64bits(refV[v]) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: vertex %d betweenness %v, want %v", n, procs, v, bc[v], refV[v])
+				}
+			}
+			for e := range eb {
+				if math.Float64bits(eb[e]) != math.Float64bits(refE[e]) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: edge %d betweenness %v, want %v", n, procs, e, eb[e], refE[e])
+				}
+			}
+		}
 	}
 }

@@ -85,9 +85,8 @@ func (p *Policy) UnmarshalText(text []byte) error {
 //
 // A Table is immutable after NewTable returns: every method only reads
 // the distance vectors, so a single Table is safe for any number of
-// concurrent readers (the parallel sweep engine in internal/runner
-// builds one Table per topology instance and shares it across all
-// workers). Methods that make randomized choices (NextHopRandom,
+// concurrent readers (the sweep executor in internal/sweep builds one
+// Table per topology instance and shares it across all workers). Methods that make randomized choices (NextHopRandom,
 // SamplePath) take the caller's *rand.Rand, which is NOT safe for
 // concurrent use — each goroutine must supply its own. (The lazy
 // backend mutates internal caches behind atomics and a mutex, so the

@@ -2,168 +2,8 @@ package runner
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
-
-	"repro/internal/routing"
-	"repro/internal/topo"
-	"repro/internal/traffic"
 )
-
-// smallGrid builds a (policy × pattern × load) job grid over one
-// instance, with seeds derived from stable keys.
-func smallGrid(t testing.TB) []Job {
-	t.Helper()
-	inst, err := topo.LPS(11, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs []Job
-	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
-		for _, pat := range []traffic.Pattern{traffic.Random, traffic.BitShuffle} {
-			for _, load := range []float64{0.2, 0.5} {
-				key := fmt.Sprintf("test/%s/%s/%.2f", pol, pat, load)
-				jobs = append(jobs, Job{
-					Key:           key,
-					Inst:          inst,
-					Concentration: 2,
-					Policy:        pol,
-					Kind:          Load,
-					Pattern:       pat,
-					Load:          load,
-					Ranks:         128,
-					MsgsPerRank:   4,
-					MappingSeed:   11,
-					Seed:          DeriveSeed(11, key),
-				})
-			}
-		}
-	}
-	return jobs
-}
-
-func stats(t *testing.T, results []Result) []any {
-	t.Helper()
-	out := make([]any, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d (%s): %v", i, r.Job.Key, r.Err)
-		}
-		if r.Stats.Delivered == 0 {
-			t.Fatalf("job %d (%s): no traffic", i, r.Job.Key)
-		}
-		out[i] = r.Stats
-	}
-	return out
-}
-
-// TestSerialParallelEquivalence: the same grid must produce identical
-// Stats, in identical order, on 1 worker and on many. This is the
-// determinism contract of the engine: per-job seeds come from job
-// identity, not execution order, and results are reassembled in
-// submission order.
-func TestSerialParallelEquivalence(t *testing.T) {
-	jobs := smallGrid(t)
-	serial := stats(t, New(1).Run(append([]Job(nil), jobs...)))
-	parallel := stats(t, New(8).Run(append([]Job(nil), jobs...)))
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("serial and parallel sweeps diverged:\nserial:   %v\nparallel: %v", serial, parallel)
-	}
-}
-
-// TestRunRepeatable: two identical parallel runs on fresh runners are
-// identical (no hidden shared mutable state).
-func TestRunRepeatable(t *testing.T) {
-	jobs := smallGrid(t)
-	a := stats(t, New(4).Run(append([]Job(nil), jobs...)))
-	b := stats(t, New(4).Run(append([]Job(nil), jobs...)))
-	if !reflect.DeepEqual(a, b) {
-		t.Error("identical runs diverged")
-	}
-}
-
-// TestSharedArtifactsMemoized: all jobs of one instance share one
-// routing table and one mapping.
-func TestSharedArtifactsMemoized(t *testing.T) {
-	jobs := smallGrid(t)
-	r := New(4)
-	r.Run(jobs)
-	if n := len(r.tables); n != 1 {
-		t.Errorf("built %d routing tables for 1 instance", n)
-	}
-	if n := len(r.protos); n != 1 {
-		t.Errorf("built %d simulator prototypes for 1 (instance, concentration)", n)
-	}
-	if n := len(r.maps); n != 1 {
-		t.Errorf("built %d mappings for 1 (endpoints, ranks, seed)", n)
-	}
-	// The memoized table is shared with direct lookups.
-	g := jobs[0].Inst.G
-	if r.Table(g) != r.Table(g) {
-		t.Error("Table not memoized")
-	}
-}
-
-// TestSaturationAndMotifKinds exercises the two non-Load job kinds end
-// to end through the pool.
-func TestSaturationAndMotifKinds(t *testing.T) {
-	inst, err := topo.LPS(11, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job{
-		{
-			Key: "sat", Inst: inst, Concentration: 2, Kind: Saturation,
-			MsgsPerRank: 6, Seed: 3,
-		},
-		{
-			Key: "motif", Inst: inst, Concentration: 2, Kind: Motif,
-			Motif: traffic.FFT{NX: 8, NY: 4, NZ: 4, Iters: 1},
-			Ranks: 128, MappingSeed: 3, Seed: DeriveSeed(3, "motif"),
-		},
-	}
-	results := New(2).Run(jobs)
-	if results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("errors: %v / %v", results[0].Err, results[1].Err)
-	}
-	if s := results[0].Saturation; s <= 0 || s > 1 {
-		t.Errorf("saturation %v out of range", s)
-	}
-	if results[1].Stats.Makespan <= 0 {
-		t.Error("motif produced no makespan")
-	}
-	if results[1].Stats.MeanLatency <= 0 || results[1].Stats.P99Latency <= 0 {
-		t.Errorf("motif latency aggregation missing: %+v", results[1].Stats)
-	}
-}
-
-// TestJobErrorsIsolated: a bad job reports its error without poisoning
-// the rest of the set.
-func TestJobErrorsIsolated(t *testing.T) {
-	inst, err := topo.LPS(11, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := smallGrid(t)[0]
-	jobs := []Job{
-		{Key: "nil-inst", Kind: Load},
-		{Key: "bad-ranks", Inst: inst, Concentration: 2, Kind: Load,
-			Pattern: traffic.Random, Load: 0.3, Ranks: 1 << 30, MsgsPerRank: 2},
-		{Key: "bad-load", Inst: inst, Concentration: 2, Kind: Load,
-			Pattern: traffic.Random, Load: 0, Ranks: 128, MsgsPerRank: 2},
-		good,
-	}
-	results := New(2).Run(jobs)
-	for i := 0; i < 3; i++ {
-		if results[i].Err == nil {
-			t.Errorf("bad job %q did not report an error", jobs[i].Key)
-		}
-	}
-	if results[3].Err != nil {
-		t.Errorf("good job failed alongside bad ones: %v", results[3].Err)
-	}
-}
 
 func TestDeriveSeedStable(t *testing.T) {
 	a := DeriveSeed(7, "load/LPS(11,7)/minimal/random/0.3000")

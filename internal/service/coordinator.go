@@ -38,7 +38,7 @@ type CoordinatorConfig struct {
 	HeartbeatTimeout time.Duration
 	// Emit receives every completed cell exactly once, in strictly
 	// increasing index order — the same prefix-delivery contract as
-	// runner.RunStream, reconstructed from out-of-order worker posts.
+	// sweep.Grid.Run, reconstructed from out-of-order worker posts.
 	// errMsg carries a per-cell failure ("" on success). An Emit error
 	// aborts the grid: subsequent claims fail and Err reports it.
 	Emit func(index int, key string, payload []byte, errMsg string) error

@@ -13,7 +13,7 @@ import (
 // Journal is the checkpoint record of one sweep: an append-only text
 // file of "<index> <key>" lines, one per completed cell, written in
 // delivery order. Because both the single-process stream
-// (runner.RunStream) and the coordinator's re-emit path deliver
+// (sweep.Grid.Run) and the coordinator's re-emit path deliver
 // results as a prefix of cell order, a journal is always a prefix of
 // the grid's cell sequence — so a killed sweep can report exactly how
 // far it got, and a resumed one replays that prefix from the

@@ -20,8 +20,8 @@
 // A Network separates immutable instance state (topology, routing
 // table, port maps) from per-run state (ports, RNG, event queue,
 // statistics). Clone produces a cheap second instance sharing the
-// immutable half, so a sweep engine can run many configurations of the
-// same instance concurrently — see internal/runner.
+// immutable half, so a sweep executor can run many configurations of
+// the same instance concurrently — see internal/sweep.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next

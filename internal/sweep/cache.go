@@ -218,7 +218,7 @@ func (g *Grid) ContentKeys(workers int) ([]string, error) {
 
 // contentKeys is ContentKeys with a caller-supplied deriver, so Run
 // shares one set of memoized placements between key computation and
-// job construction instead of optimizing every placement twice.
+// task construction instead of optimizing every placement twice.
 func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
 	if err := g.cacheable(); err != nil {
 		return nil, err

@@ -43,8 +43,8 @@ func (l Layout) cyclesPerNs() float64 {
 // table per concrete graph. Fault cells reuse the intact placement —
 // damage removes cables, it does not re-rack routers — so their tables
 // are rebuilt per damaged graph from the same placement. A deriver is
-// confined to the goroutine that builds jobs (cell execution is what
-// the engine parallelizes), so plain maps suffice.
+// confined to the goroutine that builds tasks (cell execution is what
+// the executor parallelizes), so plain maps suffice.
 type deriver struct {
 	g      *Grid
 	places map[int]*layout.Placement

@@ -1,9 +1,10 @@
 // Package sweep is the declarative experiment core: it turns a
 // cross-product grid specification — topology instances × fault plans ×
 // routing policies × traffic patterns/motifs × offered loads — into a
-// deterministic cell sequence, executes it on the concurrent run
-// scheduler (internal/runner), and streams one Result per cell, in
-// cell order, to the caller.
+// deterministic cell sequence, executes it over a worker pool while
+// memoizing the routing tables, simulator prototypes and rank mappings
+// its cells share, and streams one Result per cell, in cell order, to
+// the caller.
 //
 // Every experiment driver in internal/exp and the public
 // spectralfly.Sweep API are thin presets over this package: they
@@ -16,15 +17,15 @@
 // Grids with a fault axis follow the performance-under-failure
 // lifecycle of the resilience study: per (instance, fault axis), the
 // sampled plans are applied, the instance's intact routing table is
-// repaired incrementally (never rebuilt) and registered with the
-// engine, the damaged cells run, and the damaged tables are released —
+// repaired incrementally (never rebuilt) and memoized, the damaged
+// cells run, and the damaged tables are released —
 // so peak memory holds one fault group at a time, not the whole sweep.
 package sweep
 
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -163,7 +164,7 @@ type Result struct {
 }
 
 // Keys customizes the stable identities of a grid. CellKey feeds the
-// per-cell seed derivation and the runner's job keys; PlanKey seeds
+// per-cell seed derivation and error messages; PlanKey seeds
 // the fault-plan sampling. Nil funcs select the canonical formats
 // below, which the public sweep API uses; the exp presets install
 // their historical formats so golden outputs are preserved.
@@ -231,14 +232,17 @@ type Grid struct {
 	Loads      []float64
 	Measure    Measure
 
-	// Ranks and MsgsPerRank shape the workloads, as in runner.Job.
+	// Ranks is the MPI job size of load and motif cells, mapped onto
+	// the instance's endpoints with Seed. MsgsPerRank is the message
+	// count per rank (load cells) or per endpoint (the uniform traffic
+	// of saturation cells).
 	Ranks       int
 	MsgsPerRank int
 	// ShiftPeriod and ShiftPatterns make every Load cell's workload
-	// time-varying (runner.Job's fields of the same names): the traffic
-	// rotates through ShiftPatterns every ShiftPeriod cycles, and the
-	// Patterns axis' value is ignored by the simulation (it still labels
-	// cells). Zero means the usual static patterns.
+	// time-varying: the traffic rotates through ShiftPatterns every
+	// ShiftPeriod cycles, and the Patterns axis' value is ignored by the
+	// simulation (it still labels cells). Zero means the usual static
+	// patterns.
 	ShiftPeriod   int64
 	ShiftPatterns []traffic.Pattern
 	// LatencyFactor and Tol parameterize saturation cells.
@@ -283,13 +287,13 @@ type Options struct {
 	// Workers >= 2 — only the serial/parallel engine choice matters.
 	Workers int
 	// Tables selects the routing-table storage backend for tables the
-	// engine builds.
+	// run builds.
 	Tables routing.TableOptions
-	// Runner injects a shared engine (so consecutive grids reuse
-	// memoized tables); nil builds a fresh one from Parallel + Tables,
-	// in which case Tables/Parallel are only consulted here.
-	Runner *runner.Runner
-	// OnTableBytes, when set, is called with the engine's current
+	// Memo shares memoized tables, simulator prototypes and mappings
+	// across runs (the scale preset's degraded grid repairs the table
+	// its saturation grid built); nil gives the run a private one.
+	Memo *Memo
+	// OnTableBytes, when set, is called with the memo's current
 	// routing-table footprint at every batch and repair boundary; scale
 	// sweeps track their peak memory with it.
 	OnTableBytes func(bytes int64)
@@ -497,44 +501,11 @@ func (g *Grid) seedOf(c *Cell, key string) int64 {
 	return runner.DeriveSeed(g.Seed, key)
 }
 
-// job builds the runner job for one cell against the given (possibly
-// damaged) topology and dead-router mask.
-func (g *Grid) job(c *Cell, inst *topo.Instance, dead []bool) runner.Job {
-	key := g.Keys.cellKey(c)
-	job := runner.Job{
-		Key:           key,
-		Inst:          inst,
-		Concentration: g.Instances[c.Instance].Concentration,
-		Policy:        c.Policy,
-		Ranks:         g.Ranks,
-		MsgsPerRank:   g.MsgsPerRank,
-		MappingSeed:   g.Seed,
-		DeadRouters:   dead,
-		Seed:          g.seedOf(c, key),
-	}
-	switch g.Measure {
-	case MeasureMotif:
-		job.Kind = runner.Motif
-		job.Motif = c.Motif
-	case MeasureSaturation:
-		job.Kind = runner.Saturation
-		job.LatencyFactor = g.LatencyFactor
-		job.Tol = g.Tol
-	default:
-		job.Kind = runner.Load
-		job.Pattern = c.Pattern
-		job.Load = c.Load
-		job.ShiftPeriod = g.ShiftPeriod
-		job.ShiftPatterns = g.ShiftPatterns
-	}
-	return job
-}
-
 // damagedPoint is one sampled fault plan applied to an instance: the
-// damaged topology (vertex ids preserved) with its incrementally
-// repaired routing table already registered with the engine.
+// damaged topology (vertex ids preserved), whose incrementally
+// repaired routing table is already memoized, and its dead routers.
 type damagedPoint struct {
-	inst *topo.Instance
+	g    *graph.Graph
 	dead []bool
 }
 
@@ -572,36 +543,29 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	if lo < 0 {
 		lo = 0
 	}
-	r := opts.Runner
-	if r == nil {
-		pool := opts.Parallel
-		if pool == 0 && opts.Workers > 1 {
-			// Split the machine between cell-level and intra-run
-			// parallelism rather than oversubscribing it.
-			if pool = runtime.GOMAXPROCS(0) / opts.Workers; pool < 1 {
-				pool = 1
-			}
-		}
-		r = runner.New(pool)
-		r.SetTableOptions(opts.Tables)
+	x := &executor{grid: g, memo: opts.Memo, tables: opts.Tables, workers: opts.Workers}
+	if x.memo == nil {
+		x.memo = &Memo{}
 	}
+	pool := poolSize(opts)
 	probe := func() {
 		if opts.OnTableBytes != nil {
-			opts.OnTableBytes(r.TableBytes())
+			opts.OnTableBytes(x.memo.tableBytes())
 		}
 	}
 
 	inRange := func(i int) bool { return i >= lo && (hi < 0 || i < hi) }
 
-	// runBatch fans one batch of cells through the engine: the intact
-	// cells (prep nil), one fault group's cells across all its trials,
-	// or one schedule group's cells. prep supplies the group's execution
-	// context — points[c.Trial] is a fault cell's damaged instance,
-	// scheds[c.Trial] a reconfiguration cell's timed schedule — and runs
-	// lazily, only once a selected cell actually needs the engine, so
-	// ranges and warm caches skip a group's sampling and table repair
-	// along with its simulations. executed reports whether prep ran
-	// (the caller releases the group's tables only then).
+	// runBatch streams one batch of cells: the intact cells (prep nil),
+	// one fault group's cells across all its trials, or one schedule
+	// group's cells. Cache hits enter the stream as completed slots.
+	// prep supplies the group's execution context — points[c.Trial] is
+	// a fault cell's damaged instance, scheds[c.Trial] a
+	// reconfiguration cell's timed schedule — and runs only when a
+	// selected cell misses the cache, so ranges and warm caches skip a
+	// group's sampling and table repair along with its simulations.
+	// executed reports whether any cell ran (the caller releases the
+	// group's tables only then).
 	runBatch := func(cells []Cell, prep func() ([]damagedPoint, []fault.Schedule, error)) (executed bool, err error) {
 		sel := cells[:0:0]
 		for _, c := range cells {
@@ -615,99 +579,72 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		// Partition into cache hits and misses. Hits are emitted in
-		// place; a corrupt or undecodable entry just demotes to a miss.
-		cached := make([]*Payload, len(sel))
+		results := make([]Result, len(sel))
+		hit := make([]bool, len(sel))
 		if opts.Cache != nil {
+			// A corrupt or undecodable entry just demotes to a miss.
 			for i := range sel {
 				if b, ok := opts.Cache.Get(keys[sel[i].Index]); ok {
 					if p, err := DecodePayload(b); err == nil {
-						cached[i] = &p
+						results[i] = Result{Cell: sel[i], Stats: p.Stats, Saturation: p.Saturation}
+						hit[i] = true
 					}
 				}
 			}
 		}
-		emitAt := 0
-		flushHits := func(upto int) error {
-			for ; emitAt < upto; emitAt++ {
-				p := cached[emitAt]
-				out := Result{Cell: sel[emitAt], Stats: p.Stats, Saturation: p.Saturation}
-				if opts.OnSimBytes != nil && out.Stats.MemoryBytes > 0 {
-					opts.OnSimBytes(out.Stats.MemoryBytes)
-				}
-				if err := emit(out); err != nil {
-					return err
+		tasks := make([]task, len(sel))
+		if executed = slices.Contains(hit, false); executed {
+			var points []damagedPoint
+			var scheds []fault.Schedule
+			if prep != nil {
+				if points, scheds, err = prep(); err != nil {
+					return true, err
 				}
 			}
-			return nil
-		}
-		var missPos []int
-		for i := range sel {
-			if cached[i] == nil {
-				missPos = append(missPos, i)
-			}
-		}
-		if len(missPos) == 0 {
-			return false, flushHits(len(sel))
-		}
-		var points []damagedPoint
-		var scheds []fault.Schedule
-		if prep != nil {
-			if points, scheds, err = prep(); err != nil {
-				return true, err
-			}
-		}
-		jobs := make([]runner.Job, len(missPos))
-		for k, i := range missPos {
-			c := &sel[i]
-			inst, dead := g.Instances[c.Instance].Inst, []bool(nil)
-			if points != nil {
-				inst, dead = points[c.Trial].inst, points[c.Trial].dead
-			}
-			// Layout and tenant artifacts derive from the instance (and,
-			// for latency tables, the concrete — possibly damaged — graph);
-			// the deriver memoizes them across the grid's cells.
-			lats, err := d.latencies(c.Instance, inst.G)
-			if err != nil {
-				return true, err
-			}
-			ten, err := d.assignment(c.Instance)
-			if err != nil {
-				return true, err
-			}
-			jobs[k] = g.job(c, inst, dead)
-			jobs[k].Workers = opts.Workers
-			jobs[k].LinkLatencies = lats
-			jobs[k].Tenants = ten
-			if scheds != nil {
-				jobs[k].Schedule = scheds[c.Trial]
-			}
-		}
-		err = r.RunStream(ctx, jobs, func(k int, res runner.Result) error {
-			i := missPos[k]
-			if err := flushHits(i); err != nil {
-				return err
-			}
-			out := Result{Cell: sel[i], Err: res.Err}
-			out.Stats = res.Stats
-			out.Saturation = res.Saturation
-			if opts.OnSimBytes != nil && res.Err == nil && out.Stats.MemoryBytes > 0 {
-				opts.OnSimBytes(out.Stats.MemoryBytes)
-			}
-			// Store before emitting, so a run killed mid-emit still keeps
-			// the cell for its resume.
-			if opts.Cache != nil && res.Err == nil {
-				if b, err := EncodePayload(out); err == nil {
-					opts.Cache.Put(keys[sel[i].Index], b)
+			for i := range sel {
+				if hit[i] {
+					continue
+				}
+				c := &sel[i]
+				t := &tasks[i]
+				t.cell, t.key = c, g.Keys.cellKey(c)
+				t.seed = g.seedOf(c, t.key)
+				t.g = g.Instances[c.Instance].Inst.G
+				if points != nil {
+					t.g, t.dead = points[c.Trial].g, points[c.Trial].dead
+				}
+				if scheds != nil {
+					t.sched = scheds[c.Trial]
+				}
+				// Layout and tenant artifacts derive from the instance (and,
+				// for latency tables, the concrete — possibly damaged — graph);
+				// the deriver memoizes them across the grid's cells.
+				if t.lats, err = d.latencies(c.Instance, t.g); err != nil {
+					return true, err
+				}
+				if t.ten, err = d.assignment(c.Instance); err != nil {
+					return true, err
 				}
 			}
-			emitAt = i + 1
-			return emit(out)
-		})
-		if err != nil {
-			return true, err
 		}
-		return true, flushHits(len(sel))
+		return executed, stream(ctx, pool, hit,
+			func(i int) { results[i] = x.exec(&tasks[i]) },
+			func(i int) error {
+				out := results[i]
+				if out.Err == nil {
+					if opts.OnSimBytes != nil && out.Stats.MemoryBytes > 0 {
+						opts.OnSimBytes(out.Stats.MemoryBytes)
+					}
+					// Store before emitting, so a run killed mid-emit still
+					// keeps the cell for its resume.
+					if opts.Cache != nil && !hit[i] {
+						if b, err := EncodePayload(out); err == nil {
+							opts.Cache.Put(keys[out.Index], b)
+						}
+					}
+				}
+				return emit(out)
+			})
 	}
 
 	next := 0 // running cell index, mirroring Cells() order
@@ -715,9 +652,6 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	// Without fault or schedule axes the whole grid is one batch: every
 	// cell is independent, so cross-instance parallelism is free.
 	if len(g.Faults) == 0 && len(g.Schedules) == 0 {
-		if g.OmitIntact {
-			return nil // validate() rejects this, but stay safe
-		}
 		var intact []Cell
 		for ii := range g.Instances {
 			cells := g.pointCells(ii, "none", 0, 0, next)
@@ -736,8 +670,8 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 
 	// With a fault or schedule axis, instances run one at a time —
 	// intact cells, then the fault groups, then the schedule groups — so
-	// at any moment the engine memoizes at most one instance's intact
-	// table plus one group's damaged tables.
+	// at any moment the memo holds at most one instance's intact table
+	// plus one group's damaged tables.
 	for ii, inst := range g.Instances {
 		if !g.OmitIntact {
 			cells := g.pointCells(ii, "none", 0, 0, next)
@@ -758,7 +692,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			prep := func() ([]damagedPoint, []fault.Schedule, error) {
 				// Sample this group's plans and repair the intact table
 				// incrementally for each — never a full rebuild.
-				base := r.Table(inst.Inst.G)
+				base := x.memo.table(inst.Inst.G, opts.Tables)
 				points = make([]damagedPoint, f.trials())
 				for trial := range points {
 					plan := fault.Plan{
@@ -769,11 +703,8 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 					}
 					out := plan.Apply(inst.Inst.G)
 					repaired := base.Repair(out.Removed)
-					r.RegisterTable(repaired.G, repaired)
-					points[trial] = damagedPoint{
-						inst: &topo.Instance{Name: inst.Name, G: repaired.G},
-						dead: out.DeadRouters,
-					}
+					x.memo.register(repaired.G, repaired)
+					points[trial] = damagedPoint{g: repaired.G, dead: out.DeadRouters}
 				}
 				// The repair window — intact and repaired tables briefly
 				// memoized together — is where table memory peaks.
@@ -784,7 +715,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 					// run so only the damaged tables stay memoized. Schedule
 					// groups still need it, so with a schedule axis it lives
 					// until the instance's section ends.
-					r.Release(inst.Inst.G)
+					x.memo.release(inst.Inst.G)
 				}
 				return points, nil, nil
 			}
@@ -797,11 +728,11 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			executed, err := runBatch(group, prep)
 			if executed {
 				// Each trial's table and simulator prototype are only
-				// reachable through the engine's memo: release them as soon
-				// as the group's cells are done, so peak memory holds one
-				// fault group, not the whole sweep.
+				// reachable through the memo: release them as soon as the
+				// group's cells are done, so peak memory holds one fault
+				// group, not the whole sweep.
 				for _, p := range points {
-					r.Release(p.inst.G)
+					x.memo.release(p.g)
 				}
 				probe()
 			}
@@ -847,7 +778,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			// With both axes the intact table was kept alive for the
 			// schedule groups (see above); the instance's section is over.
 			// Releasing a never-built table (all groups skipped) is a no-op.
-			r.Release(inst.Inst.G)
+			x.memo.release(inst.Inst.G)
 		}
 	}
 	return nil

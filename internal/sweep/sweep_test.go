@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -205,6 +204,9 @@ func TestRunMotifMeasure(t *testing.T) {
 		if r.Stats.Makespan <= 0 {
 			t.Errorf("motif %s produced no makespan", r.MotifTag)
 		}
+		if r.Stats.MeanLatency <= 0 || r.Stats.P99Latency <= 0 {
+			t.Errorf("motif %s latency aggregation missing: %+v", r.MotifTag, r.Stats)
+		}
 	}
 }
 
@@ -290,11 +292,11 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestSharedRunnerMemoizes: two grids on one injected engine reuse the
+// TestSharedRunnerMemoizes: two grids sharing one Memo reuse the
 // memoized intact table (the scale preset's two-phase pattern).
 func TestSharedRunnerMemoizes(t *testing.T) {
 	insts := testInstances(t)[:1]
-	r := runner.New(1)
+	opts := Options{Parallel: 1, Memo: &Memo{}}
 	sat := &Grid{Instances: insts, Measure: MeasureSaturation, MsgsPerRank: 4,
 		LatencyFactor: 3, Tol: 0.05, Seed: 7}
 	var peak int64
@@ -303,7 +305,8 @@ func TestSharedRunnerMemoizes(t *testing.T) {
 			peak = b
 		}
 	}
-	if _, err := sat.Collect(context.Background(), Options{Runner: r, OnTableBytes: track}); err != nil {
+	opts.OnTableBytes = track
+	if _, err := sat.Collect(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	afterSat := peak
@@ -314,7 +317,7 @@ func TestSharedRunnerMemoizes(t *testing.T) {
 		Faults: []FaultAxis{{Kind: fault.Links, Fraction: 0.05}},
 		Loads:  []float64{0.3}, Measure: MeasureLoad,
 		Ranks: insts[0].Endpoints(), MsgsPerRank: 4, Seed: 7}
-	if _, err := deg.Collect(context.Background(), Options{Runner: r, OnTableBytes: track}); err != nil {
+	if _, err := deg.Collect(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	// The repair window holds intact + repaired tables: the peak must

@@ -2,12 +2,12 @@ package traffic
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/runner"
 	"repro/internal/simnet"
 )
 
@@ -93,22 +93,6 @@ type Tenants struct {
 	Specs  []TenantSpec
 	Policy PlacementPolicy
 	Seed   int64
-}
-
-// deriveSeed maps the base seed and a stable per-tenant key to that
-// tenant's private placement seed — FNV-1a over the key folded into
-// the base, the same derivation as runner.DeriveSeed (duplicated here
-// because runner imports traffic). Seeding draws per tenant id is
-// what guarantees appending a tenant never perturbs the draws of the
-// tenants already placed.
-func deriveSeed(base int64, key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	s := int64(h.Sum64()&0x7fffffffffffffff) ^ base
-	if s == 0 {
-		s = base + 1
-	}
-	return s
 }
 
 // Validate checks the spec list against a machine size.
@@ -204,11 +188,11 @@ func (ts Tenants) Place(g *graph.Graph, concentration int) (*Assignment, error) 
 			pool[i] = int32(i)
 		}
 		for t, sp := range ts.Specs {
-			// A private RNG per tenant id: tenant t's draws depend on the
-			// pool the earlier tenants left behind but never on the
-			// tenants after it, so extending the tenant list cannot
-			// reshuffle existing allocations.
-			rng := rand.New(rand.NewSource(deriveSeed(ts.Seed, fmt.Sprintf("tenant/%d", t))))
+			// A private RNG per tenant id, seeded from a stable per-tenant
+			// key: tenant t's draws depend on the pool the earlier tenants
+			// left behind but never on the tenants after it, so extending
+			// the tenant list cannot reshuffle existing allocations.
+			rng := rand.New(rand.NewSource(runner.DeriveSeed(ts.Seed, fmt.Sprintf("tenant/%d", t))))
 			eps := make([]int32, sp.Ranks)
 			for i := range eps {
 				j := rng.Intn(len(pool))
