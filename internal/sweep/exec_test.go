@@ -367,3 +367,146 @@ func TestRunEmitErrorStopsStream(t *testing.T) {
 		}
 	}
 }
+
+// oneInstanceGrid is a (policy × pattern × load) load grid over a
+// single instance, so every cell shares one table, one prototype and
+// one mapping.
+func oneInstanceGrid(t testing.TB) *Grid {
+	g := loadGrid(t)
+	g.Instances = g.Instances[:1]
+	g.Ranks = 128
+	return g
+}
+
+// TestSerialParallelEquivalence: the same grid must produce identical
+// results, in identical order, on 1 worker and on many. This is the
+// determinism contract of the executor: per-cell seeds come from cell
+// identity, not execution order, and results are delivered in cell
+// order.
+func TestSerialParallelEquivalence(t *testing.T) {
+	serial, err := oneInstanceGrid(t).Collect(context.Background(), Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := oneInstanceGrid(t).Collect(context.Background(), Options{Parallel: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) == 0 || len(serial) != len(parallel) {
+		t.Fatalf("result counts: %d vs %d", len(serial), len(parallel))
+	}
+	for i, r := range serial {
+		if r.Err != nil {
+			t.Fatalf("cell %d: %v", i, r.Err)
+		}
+		if r.Stats.Delivered == 0 {
+			t.Fatalf("cell %d: no traffic", i)
+		}
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("serial and parallel sweeps diverged:\nserial:   %v\nparallel: %v", serial, parallel)
+	}
+}
+
+// TestSaturationAndMotifKinds runs the two non-load measures end to end
+// through one memo, which they share with each other.
+func TestSaturationAndMotifKinds(t *testing.T) {
+	inst := testInstances(t)[:1]
+	m := &Memo{}
+	sat, err := (&Grid{
+		Instances: inst, Measure: MeasureSaturation, MsgsPerRank: 6, Seed: 3,
+	}).Collect(context.Background(), Options{Parallel: 2, Memo: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	motif, err := (&Grid{
+		Instances: inst, Policies: []routing.Policy{routing.Minimal},
+		Motifs:  []traffic.Motif{traffic.FFT{NX: 8, NY: 4, NZ: 4, Iters: 1}},
+		Measure: MeasureMotif, Ranks: 128, Seed: 3,
+	}).Collect(context.Background(), Options{Parallel: 2, Memo: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sat) != 1 || len(motif) != 1 {
+		t.Fatalf("got %d saturation and %d motif results", len(sat), len(motif))
+	}
+	if sat[0].Err != nil || motif[0].Err != nil {
+		t.Fatalf("errors: %v / %v", sat[0].Err, motif[0].Err)
+	}
+	if s := sat[0].Saturation; s <= 0 || s > 1 {
+		t.Errorf("saturation %v out of range", s)
+	}
+	if motif[0].Stats.Makespan <= 0 {
+		t.Error("motif produced no makespan")
+	}
+	if motif[0].Stats.MeanLatency <= 0 || motif[0].Stats.P99Latency <= 0 {
+		t.Errorf("motif latency aggregation missing: %+v", motif[0].Stats)
+	}
+	if n := len(m.tables); n != 1 {
+		t.Errorf("saturation and motif grids built %d routing tables for 1 instance", n)
+	}
+}
+
+// TestJobsRunOnPackedTables runs a small load grid with the packed
+// routing-table backend and checks it matches the dense results bit
+// for bit, cell by cell.
+func TestJobsRunOnPackedTables(t *testing.T) {
+	mk := func() *Grid {
+		g := loadGrid(t)
+		g.Instances = g.Instances[:1]
+		g.Patterns = g.Patterns[:1]
+		g.Loads = []float64{0.4}
+		g.MsgsPerRank = 6
+		g.Seed = 77
+		return g
+	}
+	dense, err := mk().Collect(context.Background(), Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := mk().Collect(context.Background(),
+		Options{Parallel: 2, Tables: routing.TableOptions{Store: routing.StorePacked}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dense) != 2 || len(packed) != 2 {
+		t.Fatalf("result counts: %d vs %d", len(dense), len(packed))
+	}
+	for i := range dense {
+		if dense[i].Err != nil || packed[i].Err != nil {
+			t.Fatalf("cell errors: %v / %v", dense[i].Err, packed[i].Err)
+		}
+		if !dense[i].Stats.Equal(packed[i].Stats) {
+			t.Errorf("cell %d (%s) stats diverge across backends:\n dense  %+v\n packed %+v",
+				i, dense[i].Policy, dense[i].Stats, packed[i].Stats)
+		}
+	}
+}
+
+// TestRunStreamCancel cancels a load grid mid-stream and checks the
+// contract: a prompt return with ctx.Err(), and the delivered cells a
+// strict prefix of the cell order.
+func TestRunStreamCancel(t *testing.T) {
+	g := oneInstanceGrid(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delivered []int
+	err := g.Run(ctx, Options{Parallel: 2}, func(res Result) error {
+		delivered = append(delivered, res.Index)
+		if len(delivered) == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(delivered) >= len(g.Cells()) {
+		t.Fatalf("cancellation delivered all %d results", len(delivered))
+	}
+	for i, idx := range delivered {
+		if idx != i {
+			t.Fatalf("partial delivery is not a prefix: position %d has index %d", i, idx)
+		}
+	}
+}
