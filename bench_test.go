@@ -457,12 +457,10 @@ func BenchmarkRunLoadParallel40K(b *testing.B) {
 // BenchmarkReconfigParallel40K drives the unified engine's
 // schedule-aware barriers at the ~40K-router rung: the same load point
 // as BenchmarkRunLoadParallel40K but with a link-churn schedule firing
-// mid-run, serial versus 4 workers. Each engine must conserve its own
-// messages (offered = delivered + dropped once the run drains);
-// cross-engine count equality is NOT asserted — severed-in-flight
-// drops depend on where packets sit when a change fires, and the two
-// engines are different deterministic schedules. The reported metric
-// is the wall-clock speedup the window-clipped barriers retain.
+// mid-run, one shard versus 4. Each run must conserve its own
+// messages (offered = delivered + dropped once the run drains). The
+// reported metric is the wall-clock speedup the window-clipped
+// barriers retain.
 func BenchmarkReconfigParallel40K(b *testing.B) {
 	if os.Getenv("SPECTRALFLY_LARGE_BENCH") == "" {
 		b.Skip("set SPECTRALFLY_LARGE_BENCH=1 to run the 40K-router reconfig bench")

@@ -65,7 +65,7 @@ func parseFlags(cmd string, args []string) cliFlags {
 	fs.IntVar(&fl.msgs, "msgs", 0, "override messages per rank for simulations")
 	fs.Int64Var(&fl.seed, "seed", 0, "override base seed")
 	fs.IntVar(&fl.parallel, "parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	fs.IntVar(&fl.workers, "workers", 0, "intra-run simulator shards per cell (0/1 = serial engine, >=2 = sharded parallel engine; with -parallel 0 the cell pool shrinks to GOMAXPROCS/workers)")
+	fs.IntVar(&fl.workers, "workers", 0, "intra-run simulator shards per cell (0/1 = one shard; results are identical for every value; with -parallel 0 the cell pool shrinks to GOMAXPROCS/workers)")
 	fs.StringVar(&fl.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&fl.memprofile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	fs.BoolVar(&fl.jsonOut, "json", false, "emit results as JSON instead of tables")

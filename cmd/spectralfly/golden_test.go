@@ -11,11 +11,11 @@ import (
 )
 
 // These golden tests pin the exact -json documents of every simulation
-// subcommand at a tiny fixed-seed configuration. They were generated
-// BEFORE the declarative-sweep rewire of the exp drivers and must stay
-// byte-identical after it: any change to a golden file here means the
-// sweep refactor altered a published result. Regenerate (only for a
-// deliberate numeric change) with
+// subcommand at a tiny fixed-seed configuration, rendered at -workers 0
+// and at -workers 4 against the same file: results may not depend on
+// the shard count. Any change to a golden file here is a change to a
+// published result. Regenerate (only for a deliberate numeric change)
+// with
 //
 //	go test ./cmd/spectralfly -run Golden -update
 var update = flag.Bool("update", false, "rewrite the CLI golden files")
@@ -66,35 +66,38 @@ func TestCLIGoldenJSON(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			f, ok := commands(cfg)[name]
-			if !ok {
-				t.Fatalf("no %q subcommand", name)
-			}
-			result, err := f()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := encodeJSON(&buf, name, cfg.scale, result); err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join("testdata", name+".json")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
+			for _, workers := range []int{0, 4} {
+				cfg := cfg
+				cfg.simOpts.Workers = workers
+				f, ok := commands(cfg)[name]
+				if !ok {
+					t.Fatalf("no %q subcommand", name)
+				}
+				result, err := f()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				var buf bytes.Buffer
+				if err := encodeJSON(&buf, name, cfg.scale, result); err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s -json drifted from its golden file.\n--- got ---\n%s\n--- want ---\n%s\n(the sweep rewire must keep subcommand output byte-identical)",
-					name, buf.Bytes(), want)
+				if *update && workers == 0 {
+					if err := os.MkdirAll("testdata", 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden file (run with -update to create): %v", err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("%s -json at -workers %d drifted from its golden file.\n--- got ---\n%s\n--- want ---\n%s",
+						name, workers, buf.Bytes(), want)
+				}
 			}
 		})
 	}

@@ -31,9 +31,9 @@
 // sweep executor (internal/sweep): -parallel N sizes the
 // worker pool (0 = GOMAXPROCS, 1 = serial) without changing any
 // result. -workers N additionally shards each simulation across N
-// parallel workers (0/1 keeps the bit-identical serial engine; with
-// -parallel 0 the cell pool shrinks to GOMAXPROCS/N so cells × shards
-// never oversubscribe the machine). -cpuprofile/-memprofile write
+// goroutines, again without changing any result (0/1 is one shard;
+// with -parallel 0 the cell pool shrinks to GOMAXPROCS/N so cells ×
+// shards never oversubscribe the machine). -cpuprofile/-memprofile write
 // pprof profiles of the run. -json emits the result rows as JSON (one
 // document per exhibit, stamped with the code version) for scripted
 // sweeps.
@@ -303,14 +303,14 @@ commands:
                  from it (a warm grid finishes with zero workers), and
                  the finished grid prints exactly what sweep would
   submit         join a coordinator as a worker: -coord http://host:port
-                 [-parallel N] [-cache-dir D]; refuses on version or
+                 [-parallel N] [-workers N] [-cache-dir D]; refuses on version or
                  grid-fingerprint skew
   version        print the code version stamp (also in -json documents)
   all            run everything in order (except scale: opt in explicitly)
 
 flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
        -ranks N, -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
-       -workers N (intra-run simulator shards; 0/1=serial engine),
+       -workers N (intra-run simulator shards; 0/1=one shard),
        -fractions 0.05,0.1 -trials N (resilience fault grid),
        -store packed|lazy|dense -resident N -rungs 0,1,2 (scale sweep),
        -cache -cache-dir D (content-addressed result cache),

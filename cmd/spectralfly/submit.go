@@ -76,8 +76,8 @@ func joinGrid(ctx context.Context, coord string) (*spectralfly.Sweep, []string, 
 
 // runSubmit joins the coordinator at -coord as a worker and computes
 // claimed cell ranges until the grid is done or ^C. Results go to the
-// coordinator, not stdout. -parallel, -store/-resident and a local
-// -cache/-cache-dir apply per worker.
+// coordinator, not stdout. -parallel, -workers, -store/-resident and a
+// local -cache/-cache-dir apply per worker.
 func runSubmit(fl cliFlags) error {
 	if fl.coord == "" {
 		return fmt.Errorf("submit needs -coord, e.g. -coord http://127.0.0.1:8077")

@@ -28,8 +28,8 @@ type sweepRow struct {
 // exact grid-identity subset of the sweep flag surface, so a submit
 // worker rebuilds the identical grid from the coordinator's copy and
 // verifies it by Fingerprint. Per-process execution knobs (-parallel,
-// -store, -resident, -cache-dir) deliberately stay out — they change
-// how fast a process computes, never what it computes.
+// -workers, -store, -resident, -cache-dir) deliberately stay out — they
+// change how fast a process computes, never what it computes.
 type sweepSpec struct {
 	Topos    string `json:"topos"`
 	Conc     int    `json:"conc,omitempty"`
@@ -44,7 +44,6 @@ type sweepSpec struct {
 	Ranks    int    `json:"ranks,omitempty"`
 	Msgs     int    `json:"msgs,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 }
 
 // specFromFlags extracts the grid description from the parsed flags.
@@ -54,7 +53,7 @@ func specFromFlags(fl cliFlags) sweepSpec {
 		Policies: fl.policies, Patterns: fl.patterns, Motifs: fl.motifs,
 		Loads: fl.loads, Faults: fl.faults, Trials: fl.trials,
 		Intact: fl.intact, Ranks: fl.ranks, Msgs: fl.msgs,
-		Seed: fl.seed, Workers: fl.workers,
+		Seed: fl.seed,
 	}
 }
 
@@ -73,8 +72,7 @@ func (sp sweepSpec) sweep() (*spectralfly.Sweep, error) {
 		Topologies(splitSpecs(sp.Topos)...).
 		Ranks(sp.Ranks).
 		MsgsPerRank(sp.Msgs).
-		Seed(sp.Seed).
-		Workers(sp.Workers)
+		Seed(sp.Seed)
 
 	if sp.Policies != "" {
 		var pols []routing.Policy
@@ -134,14 +132,16 @@ func (sp sweepSpec) sweep() (*spectralfly.Sweep, error) {
 	return sw, nil
 }
 
-// applyLocalKnobs wires the per-process execution flags — worker pool,
-// table backend and the optional result cache — onto a built sweep.
+// applyLocalKnobs wires the per-process execution flags — cell pool,
+// simulator shards, table backend and the optional result cache — onto
+// a built sweep.
 func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) error {
 	store, err := routing.ParseStore(fl.store)
 	if err != nil {
 		return err
 	}
 	sw.Parallel(fl.parallel).
+		Workers(fl.workers).
 		Tables(spectralfly.TableOptions{Store: store, MaxResident: fl.resident})
 	if fl.cacheOn || fl.cacheDir != "" || fl.resume {
 		sw.Cache(fl.cacheDir).Resume(fl.resume)

@@ -264,29 +264,38 @@ func TestFig6QuickRuns(t *testing.T) {
 }
 
 func TestFig8QuickValiantContrast(t *testing.T) {
-	// 16 messages per rank: the contrast below compares MaxLatency
-	// ratios, and at 8 messages the max statistic is noisy enough for
-	// the qualitative ordering to flip with the workload RNG stream.
-	points, err := Fig8(Quick, SimOptions{
-		Ranks:       128,
-		MsgsPerRank: 16,
-		Loads:       []float64{0.6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 { // 4 patterns × 1 load
-		t.Fatalf("points %d want 4", len(points))
-	}
-	byPattern := map[string]float64{}
-	for _, p := range points {
-		byPattern[p.Pattern.String()] = p.Speedup
-	}
 	// §VI-C.2: Valiant helps the structured bit-shuffle pattern more
-	// than the random pattern.
-	if byPattern["bit-shuffle"] <= byPattern["random"] {
-		t.Errorf("valiant should help shuffle (%.3f) more than random (%.3f)",
-			byPattern["bit-shuffle"], byPattern["random"])
+	// than the random pattern. The comparison is of MaxLatency ratios,
+	// and one seed's ratio is noise-marginal (the ordering flips on
+	// some seeds), so the claim is checked on the mean over the fixed
+	// seeds 0–11 (Seed 0 is the default BaseSeed). 16 messages per rank
+	// for the same reason: at 8 the max statistic is noisier still.
+	const seeds = 12
+	var shuffle, random float64
+	for seed := int64(0); seed < seeds; seed++ {
+		points, err := Fig8(Quick, SimOptions{
+			Ranks:       128,
+			MsgsPerRank: 16,
+			Loads:       []float64{0.6},
+			Seed:        seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(points) != 4 { // 4 patterns × 1 load
+			t.Fatalf("points %d want 4", len(points))
+		}
+		byPattern := map[string]float64{}
+		for _, p := range points {
+			byPattern[p.Pattern.String()] = p.Speedup
+		}
+		t.Logf("seed %2d: bit-shuffle %.3f random %.3f", seed, byPattern["bit-shuffle"], byPattern["random"])
+		shuffle += byPattern["bit-shuffle"] / seeds
+		random += byPattern["random"] / seeds
+	}
+	t.Logf("mean: bit-shuffle %.3f random %.3f", shuffle, random)
+	if shuffle <= random {
+		t.Errorf("valiant should help shuffle (mean %.3f) more than random (mean %.3f)", shuffle, random)
 	}
 }
 

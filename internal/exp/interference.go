@@ -163,11 +163,6 @@ func Interference(scale Scale, opts InterferenceOptions) (*InterferenceReport, e
 				Policy: placement,
 				Seed:   opts.Seed,
 			},
-			Keys: sweep.Keys{
-				CellKey: func(c *sweep.Cell) string {
-					return fmt.Sprintf("interference/%s/%s/%s/%v", placement, c.Topology, c.Policy, c.Load)
-				},
-			},
 		}
 		err := g.Run(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers}, func(res sweep.Result) error {
 			if res.Err != nil {

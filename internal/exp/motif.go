@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/routing"
@@ -65,9 +64,6 @@ func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, 
 		Measure:   sweep.MeasureMotif,
 		Ranks:     ranks,
 		Seed:      seed,
-		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
-			return fmt.Sprintf("motif/%s/%s/%s", c.Topology, c.Policy, c.MotifTag)
-		}},
 	}
 	results, err := g.Collect(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers})
 	if err != nil {

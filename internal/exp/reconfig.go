@@ -40,11 +40,9 @@ type ReconfigOptions struct {
 	Ranks         int
 	MsgsPerRank   int
 	Seed          int64
-	// Parallel sizes the sweep worker pool; Workers selects each
-	// cell's intra-run engine (0/1 = serial, >= 2 = sharded). The
-	// unified engine runs timed-schedule cells on both paths, so
-	// Workers >= 2 shards the reconfiguration runs themselves; see
-	// sweep.Options.Workers for the determinism contract.
+	// Parallel sizes the sweep worker pool; Workers is each cell's
+	// simulator shard count, which shards the reconfiguration runs
+	// themselves. Neither changes results; see sweep.Options.Workers.
 	Parallel int
 	Workers  int
 }
@@ -173,13 +171,12 @@ type ReconfigReport struct {
 // steps to the next configuration every Period cycles
 // (fault.Rewiring), repairing the routing table incrementally at each
 // step (routing.Table.Repair / Restore) while traffic is in flight.
-// Both legs run through the timed-schedule path of the simulator with
-// the same Workers setting, so their comparison isolates the rewiring
-// policy, not the engine.
+// Both legs run through the timed-schedule path of the simulator, so
+// their comparison isolates the rewiring policy.
 //
 // Every schedule is a pure value and every cell seed derives from a
-// stable key, so the report is bit-identical across Parallel values
-// and across every Workers >= 2.
+// stable key, so the report is bit-identical across Parallel and
+// Workers values.
 func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 	opts = opts.withDefaults(scale)
 	n, k := opts.Routers, opts.Degree
@@ -259,15 +256,6 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		ShiftPeriod:   opts.Period,
 		ShiftPatterns: opts.ShiftPatterns,
 		Seed:          opts.Seed,
-		Keys: sweep.Keys{
-			CellKey: func(c *sweep.Cell) string {
-				return fmt.Sprintf("reconfig/%s/%s/%d/%s/%v",
-					c.Topology, c.Schedule, c.Trial, c.Policy, c.Load)
-			},
-			ScheduleKey: func(topology string, s sweep.ScheduleAxis, trial int) string {
-				return fmt.Sprintf("reconfig/schedule/%s/%s/%d", topology, s.Name, trial)
-			},
-		},
 	}
 	err := g.Run(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers}, func(res sweep.Result) error {
 		if res.Err != nil {

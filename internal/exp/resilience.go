@@ -58,7 +58,7 @@ type ResilienceOptions struct {
 	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
 	// results are bit-identical for every value.
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine, as in
+	// Workers is each cell's simulator shard count, as in
 	// sweep.Options.Workers.
 	Workers int
 }
@@ -157,15 +157,6 @@ func Resilience(scale Scale, opts ResilienceOptions) ([]ResiliencePoint, error) 
 		Ranks:       opts.Ranks,
 		MsgsPerRank: opts.MsgsPerRank,
 		Seed:        opts.Seed,
-		Keys: sweep.Keys{
-			CellKey: func(c *sweep.Cell) string {
-				return fmt.Sprintf("resilience/%s/%s/%v/%d/%s/%v",
-					c.Topology, c.Fault, c.Fraction, c.Trial, c.Policy, c.Load)
-			},
-			PlanKey: func(topology string, f sweep.FaultAxis, trial int) string {
-				return fmt.Sprintf("resilience/plan/%s/%s/%v/%d", topology, f.Kind, f.Fraction, trial)
-			},
-		},
 	}
 
 	// Reduction groups: trials of the same (fault, fraction) cell share

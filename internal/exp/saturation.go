@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/sweep"
@@ -40,12 +39,6 @@ func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
 		LatencyFactor: 3,
 		Tol:           0.02,
 		Seed:          opts.Seed,
-		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
-			return fmt.Sprintf("saturation/%s", c.Topology)
-		}},
-		// The historical driver seeded the bisection searches with the
-		// base seed directly rather than deriving per-cell.
-		SeedOf: func(*sweep.Cell, string) int64 { return opts.Seed },
 	}
 	results, err := g.Collect(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers})
 	if err != nil {

@@ -69,7 +69,7 @@ type ScaleOptions struct {
 	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
 	// results are bit-identical for every value.
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine, as in
+	// Workers is each cell's simulator shard count, as in
 	// sweep.Options.Workers. With Workers >= 2 and Parallel unset, the
 	// pool is sized GOMAXPROCS / Workers.
 	Workers int
@@ -200,9 +200,6 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			LatencyFactor: 3,
 			Tol:           0.02,
 			Seed:          opts.Seed,
-			Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
-				return fmt.Sprintf("scale/%s/saturation", c.Topology)
-			}},
 		}
 		res, err := sat.Collect(context.Background(), runOpts)
 		if err != nil {
@@ -231,14 +228,6 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			Ranks:       si.Endpoints(),
 			MsgsPerRank: opts.MsgsPerEP,
 			Seed:        opts.Seed,
-			Keys: sweep.Keys{
-				CellKey: func(c *sweep.Cell) string {
-					return fmt.Sprintf("scale/%s/degraded/%v/%v", c.Topology, c.Fraction, c.Load)
-				},
-				PlanKey: func(topology string, f sweep.FaultAxis, _ int) string {
-					return fmt.Sprintf("scale/%s/plan/%v", topology, f.Fraction)
-				},
-			},
 		}
 		res, err = deg.Collect(context.Background(), runOpts)
 		if err != nil {

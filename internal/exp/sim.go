@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/routing"
@@ -83,14 +82,13 @@ type SimOptions struct {
 	Loads []float64
 	Seed  int64
 	// Parallel is the worker-pool size for the sweep engine: 0 sizes it
-	// by GOMAXPROCS, 1 forces the serial engine. Results are identical
+	// by GOMAXPROCS, 1 runs one cell at a time. Results are identical
 	// for every value (per-job seeds are derived from stable job keys
 	// and results are reassembled in submission order).
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine (0/1 =
-	// serial reference engine, >= 2 = sharded parallel engine); see
-	// sweep.Options.Workers for the determinism and pool-splitting
-	// contract.
+	// Workers is each cell's simulator shard count (0/1 = one shard);
+	// results are identical for every value. See sweep.Options.Workers
+	// for the pool-splitting contract.
 	Workers int
 }
 
@@ -138,15 +136,6 @@ func sweepInstances(sis []*SimInstance) []sweep.Instance {
 	return out
 }
 
-// loadCellKey is the historical open-loop point identity: the
-// simulation seed derives from it, so parallel and serial execution
-// produce identical results. %v keeps the full float precision so
-// distinct loads can never collide to one key (and thus one derived
-// seed).
-func loadCellKey(c *sweep.Cell) string {
-	return fmt.Sprintf("load/%s/%s/%s/%v", c.Topology, c.Policy, c.Pattern, c.Load)
-}
-
 // Fig6 reproduces the UGAL-L congestion sweep: for each synthetic
 // pattern and offered load, every topology's max message time relative
 // to DragonFly-UGAL (speedup > 1 favors the topology).
@@ -177,7 +166,6 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 		Ranks:       opts.Ranks,
 		MsgsPerRank: opts.MsgsPerRank,
 		Seed:        opts.Seed,
-		Keys:        sweep.Keys{CellKey: loadCellKey},
 	}
 	results, err := g.Collect(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers})
 	if err != nil {
@@ -241,7 +229,6 @@ func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 		Ranks:       opts.Ranks,
 		MsgsPerRank: opts.MsgsPerRank,
 		Seed:        opts.Seed,
-		Keys:        sweep.Keys{CellKey: loadCellKey},
 		// Both legs run with Seed = opts.Seed, as the serial driver
 		// did: they replay the same traffic realization, so the ratio
 		// isolates the routing-policy effect.

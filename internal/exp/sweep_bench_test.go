@@ -71,7 +71,8 @@ func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 					continue
 				}
 				si, pat, load := instances[i], pats[p], opts.Loads[l]
-				key := fmt.Sprintf("load/%s/%s/%s/%v", si.Name, pol, pat, load)
+				// The sweep core's canonical identity of an intact load cell.
+				key := fmt.Sprintf("sweep/%s/none/0/0/%s/%s/%v", si.Name, pol, pat, load)
 				nw := sh.proto.Clone()
 				nw.SetPolicy(pol)
 				nw.SetSeed(runner.DeriveSeed(opts.Seed, key))

@@ -1,10 +1,9 @@
 // Timed topology events: where Plan describes damage that exists for
 // the whole life of a run, a Schedule describes damage (and recovery,
 // and planned rewiring) that happens *while traffic flows*. The
-// simulator applies each Change at its cycle — the serial engine
-// injects one event per Change into its event stream, the sharded
-// engine walks the schedule with an EdgeCursor and applies changes at
-// window barriers — and repairs its routing table incrementally at
+// simulator applies each Change at its cycle — its run loop walks the
+// schedule with an EdgeCursor and applies changes at window barriers —
+// and repairs its routing table incrementally at
 // each one (routing.Table.Repair for the cut direction, Table.Restore
 // for the restore direction) — see simnet's Config.Schedule and
 // DESIGN.md §10.

@@ -303,23 +303,47 @@ func (t *Table) NextHops(v, dest int, buf []int32) []int32 {
 // the path-diversity mechanism the paper credits for SpectralFly's
 // minimal-routing performance (§VI-C).
 func (t *Table) NextHopRandom(v, dest int, rng *rand.Rand) int32 {
+	slot := t.NextSlotRandom(v, dest, rng)
+	if slot < 0 {
+		return -1
+	}
+	return t.G.Neighbors(v)[slot]
+}
+
+// NextSlotRandom is NextHopRandom returning the chosen neighbor's
+// index in G.Neighbors(v) — the port slot a simulator indexes its
+// per-port state by — or -1 when there is no next hop. It counts the
+// equal-cost candidates, then makes a single rng.Intn(count) draw (none
+// when the choice is forced) and walks to the chosen candidate.
+func (t *Table) NextSlotRandom(v, dest int, rng *rand.Rand) int {
 	row := t.row(dest)
 	dv := row.at(v)
 	if dv <= 0 {
 		return -1
 	}
-	var chosen int32 = -1
+	nb := t.G.Neighbors(v)
 	count := 0
-	for _, w := range t.G.Neighbors(v) {
+	for _, w := range nb {
 		if row.at(int(w)) == dv-1 {
 			count++
-			// Reservoir sampling avoids allocating the candidate set.
-			if rng.Intn(count) == 0 {
-				chosen = w
-			}
 		}
 	}
-	return chosen
+	if count == 0 {
+		return -1
+	}
+	k := 0
+	if count > 1 {
+		k = rng.Intn(count)
+	}
+	for i, w := range nb {
+		if row.at(int(w)) == dv-1 {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	return -1
 }
 
 // PathDiversity returns the number of equal-cost next hops at v toward

@@ -3,82 +3,87 @@ package simnet
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
-	"unsafe"
 
+	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/routing"
 )
 
-// This file is the sharded conservative parallel engine behind
-// Config.Workers >= 2 (DESIGN.md §10).
+// This file is the run engine behind every simulation: RunLoad,
+// RunLoadTimed and RunBatches, for every Config.Workers value
+// (DESIGN.md §10).
 //
 // Routers are split into P shards by partition.KWay (recursive
 // multilevel bisection, so the cross-shard cut — and with it the
-// barrier traffic — is low). Each shard is a lightweight Network view
-// that owns the routers of its part and every endpoint attached to
-// them: it has a private calendar-queue scheduler, packet arena,
-// latency digest and statistics, while the port/NIC/injection-cursor
-// arrays are shared with owner-only writes (a router's port state is
-// only ever touched by the shard that owns the router, an endpoint's
-// NIC state only by the shard owning its router).
+// barrier traffic — is low); P = 1 is the whole router set. Each shard
+// is a view of the Network that owns the routers of its part and every
+// endpoint attached to them: it has a private calendar-queue scheduler,
+// packet arena, latency digest and statistics, while the
+// port/NIC/injection-cursor arrays are shared with owner-only writes (a
+// router's port state is only ever touched by the view that owns the
+// router, an endpoint's NIC state only by the view owning its router).
 //
-// Time advances in lock-step windows of the model's intrinsic
-// lookahead L = RouterLatency + PacketFlits + (the smallest wire
-// latency over links crossing the shard cut — exactly LinkLatency for
-// a uniform-latency run): a hop scheduled while processing an event
-// at time t arrives no earlier than t + RouterLatency + PacketFlits +
-// that link's latency, and only router-to-router hops can cross
-// shards, so during the window [T, T+L) every cross-shard arrival
-// generated by any shard lands at or beyond T+L — the next window.
-// Intra-shard hops may be faster than L; they stay inside the shard's
-// own scheduler, which pops in time order regardless.
-// Each round the coordinator picks T as the global earliest pending
-// event, all shards drain events with time < T+L, and at the barrier
-// every shard absorbs the evArrive messages other shards queued for
-// it (in shard order; order is actually immaterial, see below).
+// Time advances in windows. With several shards they are lock-step
+// windows of the model's intrinsic lookahead L = RouterLatency +
+// PacketFlits + (the smallest wire latency over links crossing the
+// shard cut): a hop scheduled while processing an event at time t
+// arrives no earlier than t + L, and only router-to-router hops can
+// cross shards, so during the window [T, T+L) every cross-shard arrival
+// generated by any shard lands at or beyond T+L — the next window. Each
+// round the coordinator picks T as the global earliest pending event,
+// every shard drains events with time < T+L on its own goroutine, and
+// at the barrier every shard absorbs the arrivals other shards queued
+// for it. One shard needs no lookahead: it drains inline on the
+// caller's goroutine in one window per schedule segment.
 //
 // A timed topology schedule (Config.Schedule) rides on the same
 // barriers: the coordinator walks the schedule with a fault.EdgeCursor
-// and clips every window so none spans a Change.Cycle (end =
-// min(T+L, next change cycle)). A change at cycle C therefore applies
-// at the barrier where the global earliest pending event has reached
-// C — every event before C has drained, every shard is parked — by
-// mutating the shared liveTopo and re-pointing each shard's live-table
-// alias (applyTopo, schedule.go). Clipping only ever shrinks windows,
-// so the lookahead safety argument is untouched, and events at cycle C
-// observe the post-change state in both engines (the serial engine
-// seeds evTopo events ahead of same-cycle traffic). The conservation
-// invariant is checked at each such barrier via the onTopo hook, where
-// the per-shard counters sum exactly (see conservation).
+// and clips every window so none spans a Change.Cycle. A change at
+// cycle C therefore applies at the barrier where the global earliest
+// pending event has reached C — every event before C has drained,
+// every view is parked — by mutating the shared liveTopo and
+// re-pointing each view's live-table alias (applyTopo, schedule.go).
+// Clipping only ever shrinks windows, so the lookahead argument is
+// untouched. The conservation invariant is checked at each such
+// barrier via the onTopo hook, where the per-view counters sum exactly
+// (see conservation).
 //
-// Determinism does not come from the merge order but from a canonical
-// total order on events: in parallel mode an event's scheduler
-// tie-break key (event.seq) is not a push counter but the message's
-// stable identity — srcEP·msgs + draw index for packet events, the
-// same form offset past the packet range for injection-cursor events.
-// Every shard therefore pops its events in (time, canonical id) order
-// no matter how they arrived, and each packet draws its routing
-// randomness (next-hop selection, Valiant intermediates) from a
-// private SplitMix64 stream seeded by its identity. Together these
-// make the parallel schedule — port contention, adaptive decisions,
-// everything — a pure function of (Seed, shard map), and since a
-// router's event order is independent of which other routers share
-// its shard, the simulated schedule is identical for EVERY worker
-// count >= 2. Only the serial engine differs (it draws routing
-// randomness from one global stream in global event order), which is
-// why Workers<=1 vs >=2 is a documented deterministic-but-different
-// pair of schedules, like PR 5's golden regeneration.
+// Determinism comes from a canonical total order on events, not from
+// the merge order: an event's scheduler tie-break key (event.seq) is
+// the message's stable identity — srcEP·msgs + draw index for packet
+// events, the same form offset past the packet range for
+// injection-cursor events, the message's index for RunBatches — and
+// each packet draws its routing randomness (next-hop selection,
+// Valiant intermediates) from a private SplitMix64 stream seeded by
+// that identity. Every view therefore pops its events in (time, key)
+// order no matter how they arrived, and a router's event order does not
+// depend on which other routers share its view, so the simulated
+// schedule — port contention, adaptive decisions, everything — is a
+// pure function of the seed, identical for every shard count.
 type parRun struct {
-	shardOf []int32 // router id -> owning shard
+	shardOf []int32 // router id -> owning view
 	msgs    int64   // msgsPerEP, the stride of the canonical id space
 	injBase int64   // nep*msgs: injection-event keys start past packets
+	inline  bool    // one view, drained on the caller's goroutine
+	// peak is the largest pending-event and in-flight-packet count at
+	// any cycle boundary of the run (the MemoryBytes occupancy terms).
+	peak occupancy
+}
+
+// occupancy is the model's queue state at one cycle boundary: pending
+// events and in-flight packets, each counted once wherever it lives (a
+// view's scheduler and arena, or an outbox between barriers).
+type occupancy struct{ events, packets int }
+
+func (o *occupancy) raise(x occupancy) {
+	o.events = max(o.events, x.events)
+	o.packets = max(o.packets, x.packets)
 }
 
 // xmsg is one cross-shard packet handoff: the arrival event (with the
 // canonical key already in e.seq), the packet by value, and its
-// identity/routing-stream sidecar. The receiving shard reallocates the
+// identity/routing-stream sidecar. The receiving view reallocates the
 // packet in its own arena and rewrites e.pkt.
 type xmsg struct {
 	e   event
@@ -87,7 +92,7 @@ type xmsg struct {
 	rng uint64
 }
 
-// kwayCache memoizes shard assignments per worker count for one
+// kwayCache memoizes shard assignments per shard count for one
 // topology instance (shared across clones, like the routing table).
 type kwayCache struct {
 	mu sync.Mutex
@@ -98,37 +103,26 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// parWorkers resolves Config.Workers to the effective shard count, or
-// 1 for the serial engine. Configurations the sharded engine cannot
-// express fall back to serial: UGAL-G samples backlog along whole
-// paths (remote shards' port state), and finite buffers write
-// backpressure into the upstream shard's ports.
-func (nw *Network) parWorkers() int {
-	w := nw.cfg.Workers
-	if w <= 1 {
-		return 1
-	}
+// shardCount resolves Config.Workers to the run's shard count. UGAL-G
+// and finite buffers run on one shard: UGAL-G samples backlog along
+// whole paths (other routers' port state), and finite buffers write
+// backpressure into the upstream router's ports. Workers <= 1 and
+// topologies too small to split are one shard too.
+func (nw *Network) shardCount() int {
 	if nw.cfg.Policy == routing.UGALG || nw.cfg.BufferPackets > 0 {
 		return 1
 	}
-	if most := nw.n / minShardRouters; w > most {
-		w = most
-	}
-	if w <= 1 {
-		return 1
-	}
-	return w
+	return max(1, min(nw.cfg.Workers, nw.n/minShardRouters))
 }
 
 // minCutLatency returns the smallest wire latency over links whose
 // endpoints live in different shards — the link term of the PDES
 // lookahead. Only router-to-router hops cross shards (injections and
 // deliveries are shard-local by construction), so this is the tight
-// safe bound; with a uniform latency it is exactly cfg.LinkLatency,
-// so uniform runs keep the historical window schedule. The bound
-// depends on the shard map, but worker-count invariance is untouched:
-// windows only decide where barriers fall, and each router's event
-// order is (time, canonical uid) regardless of barrier placement.
+// safe bound; with a uniform latency it is exactly cfg.LinkLatency.
+// Windows only decide where barriers fall, and each router's event
+// order is (time, canonical key) regardless of barrier placement, so
+// the bound cannot affect results.
 func (nw *Network) minCutLatency(shardOf []int32) int64 {
 	if nw.lats == nil {
 		return nw.cfg.LinkLatency
@@ -149,25 +143,90 @@ func (nw *Network) minCutLatency(shardOf []int32) int64 {
 	return min
 }
 
-// shardAssign returns the memoized KWay router-to-shard map for the
-// given worker count.
-func (nw *Network) shardAssign(workers int) []int32 {
+// shardAssign returns the memoized router-to-shard map for the given
+// shard count (all zeros for one shard).
+func (nw *Network) shardAssign(shards int) []int32 {
+	assign := func() []int32 {
+		if shards == 1 {
+			return make([]int32, nw.n)
+		}
+		return partition.KWay(nw.cfg.Topo, shards, partition.Options{Seed: 0x5f3759df, Trials: 2})
+	}
 	c := nw.kways
 	if c == nil {
 		// Hand-constructed Network (tests): no cache to share.
-		return partition.KWay(nw.cfg.Topo, workers, partition.Options{Seed: 0x5f3759df, Trials: 2})
+		return assign()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if a, ok := c.m[workers]; ok {
+	if a, ok := c.m[shards]; ok {
 		return a
 	}
-	a := partition.KWay(nw.cfg.Topo, workers, partition.Options{Seed: 0x5f3759df, Trials: 2})
+	a := assign()
 	if c.m == nil {
 		c.m = make(map[int][]int32)
 	}
-	c.m[workers] = a
+	c.m[shards] = a
 	return a
+}
+
+// begin sets up the views of a run whose run-wide state reset (and,
+// for RunLoad, the workload fields) already prepared: it sizes the
+// view list to the shard count — keeping the views of earlier runs and
+// their buffers — and binds each view to this run.
+func (nw *Network) begin(msgs int64) []*Network {
+	p := nw.shardCount()
+	shardOf := nw.shardAssign(p)
+	if nw.par == nil {
+		nw.par = &parRun{}
+	}
+	*nw.par = parRun{shardOf: shardOf, msgs: msgs, injBase: int64(nw.nep) * msgs, inline: p == 1}
+	if len(nw.views) != p {
+		views := make([]*Network, p)
+		copy(views, nw.views)
+		for s := range views {
+			if views[s] == nil {
+				views[s] = &Network{}
+			}
+		}
+		nw.views = views
+	}
+	for s, v := range nw.views {
+		nw.bind(v, int32(s))
+	}
+	return nw.views
+}
+
+// bind points view v at the run-wide state of the current run and
+// empties its private state, keeping its buffers.
+func (nw *Network) bind(v *Network, s int32) {
+	v.cfg, v.table, v.tbl, v.n, v.nep = nw.cfg, nw.table, nw.tbl, nw.n, nw.nep
+	v.dead, v.lats, v.tenants, v.live = nw.dead, nw.lats, nw.tenants, nw.live
+	v.portFree, v.injFree, v.ejFree = nw.portFree, nw.injFree, nw.ejFree
+	v.gens, v.pattern, v.tpattern, v.meanGap = nw.gens, nw.pattern, nw.tpattern, nw.meanGap
+	v.onDeliver, v.par, v.shardID = nw.onDeliver, nw.par, s
+	if v.rng == nil {
+		v.rng = rand.New(&v.pktSrc)
+	}
+	v.sched.reset()
+	v.packets = v.packets[:0]
+	v.free = v.free[:0]
+	v.lat.reset()
+	v.resetTenants()
+	v.stats = Stats{}
+	v.dropRun = 0
+	v.obs = 0
+	if p := len(nw.views); len(v.out) != p {
+		v.out = make([][]xmsg, p)
+	}
+	v.resetOutbox()
+}
+
+func (nw *Network) resetOutbox() {
+	for j := range nw.out {
+		nw.out[j] = nw.out[j][:0]
+	}
+	nw.outN = 0
 }
 
 // setPktMeta records a packet's canonical identity and routing-RNG
@@ -181,35 +240,13 @@ func (nw *Network) setPktMeta(pi int32, uid int64, rngState uint64) {
 	nw.pktRng[pi] = rngState
 }
 
-// pushPar is the parallel-mode push: it stamps the canonical event key
-// and diverts cross-shard arrivals into the outbox for the owning
-// shard. Injection arrivals (NIC -> source router) and deliveries
-// (router -> local endpoint) are local by construction; only
-// router-to-router hops can cross shards.
-func (nw *Network) pushPar(e event) {
-	switch e.kind {
-	case evInject:
-		// fireInjection pushed this after decrementing left, and the
-		// initial seeding pushes with left = msgs: either way the event
-		// is draw number msgs-left of endpoint e.at.
-		e.seq = nw.par.injBase + int64(e.at)*nw.par.msgs + (nw.par.msgs - int64(nw.gens[e.at].left))
-	case evArrive:
-		e.seq = nw.pktUID[e.pkt]
-		if s := nw.par.shardOf[e.at]; s != nw.shardID {
-			// nw.parSrc currently holds this packet's routing stream
-			// (drainUntil loaded it for the event being processed, and
-			// arriveAtRouter consumes its draws before pushing).
-			nw.out[s] = append(nw.out[s], xmsg{e: e, p: nw.packets[e.pkt], uid: nw.pktUID[e.pkt], rng: nw.parSrc.state})
-			nw.freePacket(e.pkt)
-			return
-		}
-	case evDeliver:
-		e.seq = nw.pktUID[e.pkt]
-	}
-	nw.sched.push(e)
+// newStream gives a freshly created packet its canonical id and the
+// routing stream seeded by it (lanes past the endpoint generators').
+func (nw *Network) newStream(pi int32, uid int64) {
+	nw.setPktMeta(pi, uid, mixSeed(nw.cfg.Seed, int64(nw.nep)+uid))
 }
 
-// recv absorbs one cross-shard handoff into this shard's arena and
+// recv absorbs one cross-shard handoff into this view's arena and
 // scheduler. e.seq already carries the canonical key, so where the
 // message came from cannot influence pop order.
 func (nw *Network) recv(x xmsg) {
@@ -221,268 +258,212 @@ func (nw *Network) recv(x xmsg) {
 }
 
 // drainUntil processes every queued event with time < end, wrapping
-// evArrive handling with the owning packet's routing-RNG stream.
+// evArrive handling with the owning packet's routing-RNG stream, and
+// observes the occupancy at every cycle boundary it crosses.
 func (nw *Network) drainUntil(end int64) {
 	for {
 		e, ok := nw.sched.popBefore(end)
 		if !ok {
 			return
 		}
+		if e.time > nw.obs {
+			nw.observe(e.time, 1) // e is popped but still pending
+		}
 		if e.kind == evArrive {
-			nw.parSrc.state = nw.pktRng[e.pkt]
+			nw.pktSrc.state = nw.pktRng[e.pkt]
 			nw.handle(e)
 			// Harmless if the packet was delivered, dropped or handed
 			// off (the slot is then free and the state unread).
-			nw.pktRng[e.pkt] = nw.parSrc.state
+			nw.pktRng[e.pkt] = nw.pktSrc.state
 		} else {
 			nw.handle(e)
 		}
 	}
 }
 
-// runLoadParallel is the sharded RunLoad/RunLoadTimed engine (see the
-// file comment for the model; exactly one of pattern/tpattern is
-// non-nil). The coordinator alternates drain and merge phases over
-// persistent shard goroutines — applying any due topology changes at
-// the barriers in between — then folds per-shard statistics in shard
-// order.
-func (nw *Network) runLoadParallel(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int, workers int) Stats {
-	nw.reset()
-	nw.pattern = pattern
-	nw.tpattern = tpattern
-	nw.meanGap = float64(nw.cfg.PacketFlits) / load
-	if nw.gens == nil {
-		nw.gens = make([]epGen, nw.nep)
-	}
-	shardOf := nw.shardAssign(workers)
-	par := &parRun{
-		shardOf: shardOf,
-		msgs:    int64(msgsPerEP),
-		injBase: int64(nw.nep) * int64(msgsPerEP),
-	}
-	lookahead := nw.cfg.RouterLatency + nw.cfg.PacketFlits + nw.minCutLatency(shardOf)
-
-	limit := nw.cfg.LatencySampleCap
-	if limit <= 0 {
-		limit = defaultLatencySampleCap
-	}
-	shards := make([]*Network, workers)
-	for s := range shards {
-		sh := &Network{
-			cfg:      nw.cfg,
-			table:    nw.table,
-			tbl:      nw.tbl,
-			n:        nw.n,
-			nep:      nw.nep,
-			dead:     nw.dead,
-			lats:     nw.lats,
-			tenants:  nw.tenants,
-			slotOf:   nw.slotOf,
-			live:     nw.live,
-			portFree: nw.portFree,
-			injFree:  nw.injFree,
-			ejFree:   nw.ejFree,
-			gens:     nw.gens,
-			pattern:  pattern,
-			tpattern: tpattern,
-			meanGap:  nw.meanGap,
-			par:      par,
-			shardID:  int32(s),
-			out:      make([][]xmsg, workers),
-		}
-		sh.sched.reset()
-		sh.sched.sorted = true
-		sh.rng = rand.New(&sh.parSrc)
-		sh.lat.reset(nw.cfg.Seed, limit)
-		sh.resetTenants(limit)
-		shards[s] = sh
-	}
-	nw.parShards = shards
-
-	// Seed the injection cursors exactly like the serial engine — the
-	// per-endpoint workload streams are identical in both modes — and
-	// queue each endpoint's first injection on its owning shard.
-	for ep := 0; ep < nw.nep; ep++ {
-		g := &nw.gens[ep]
-		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
-		if g.rng == nil {
-			g.rng = rand.New(&g.src)
-		}
-		g.t = 0
-		g.left = msgsPerEP
-		if msgsPerEP > 0 {
-			sh := shards[shardOf[nw.routerOf(int32(ep))]]
-			sh.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
+// observe records this view's occupancy for the cycle boundaries
+// (obs, t] — the state after every event before t has been processed —
+// with pending extra events popped but not yet handled. One inline view
+// is the whole model, so it raises the run's peak directly; a view of a
+// multi-shard run records its share per boundary of the current window,
+// and the coordinator sums the shares at the barrier.
+func (nw *Network) observe(t int64, pending int) {
+	o := occupancy{nw.sched.count + pending + nw.outN, nw.inFlight() + nw.outN}
+	if nw.par.inline {
+		nw.par.peak.raise(o)
+	} else {
+		for b := nw.obs + 1; b <= t; b++ {
+			nw.occ[b-nw.winStart-1] = o
 		}
 	}
+	nw.obs = t
+}
 
-	// Persistent shard workers: drain phase, barrier, merge phase,
+// drive runs the views' pending events to completion, applying the
+// schedule changes edges walks at window barriers. It first observes
+// the occupancy the caller seeded.
+func (nw *Network) drive(edges *fault.EdgeCursor) {
+	var o occupancy
+	for _, v := range nw.views {
+		o.events += v.sched.count
+		o.packets += v.inFlight()
+	}
+	nw.par.peak.raise(o)
+	if nw.par.inline {
+		nw.driveInline(edges)
+	} else {
+		nw.driveSharded(edges)
+	}
+}
+
+// applyDue applies every schedule change due at or before next — the
+// global earliest pending event: everything before it has drained and
+// every view is parked — and re-points the views at the live table.
+func (nw *Network) applyDue(edges *fault.EdgeCursor, next int64) {
+	for {
+		ci, ok := edges.Due(next)
+		if !ok {
+			return
+		}
+		nw.applyTopo(ci, nw.cfg.Schedule[ci].Cycle)
+		for _, v := range nw.views {
+			v.tbl = nw.tbl
+		}
+	}
+}
+
+// driveInline drains the single view on the caller's goroutine, in one
+// window per schedule segment.
+func (nw *Network) driveInline(edges *fault.EdgeCursor) {
+	v := nw.views[0]
+	for {
+		next := v.sched.peekTime()
+		// When the event stream has dried up (next == MaxInt64) this
+		// drains the schedule's tail.
+		nw.applyDue(edges, next)
+		if next == math.MaxInt64 {
+			return
+		}
+		end := int64(math.MaxInt64)
+		if c, ok := edges.Peek(); ok {
+			end = c
+		}
+		v.drainUntil(end)
+	}
+}
+
+// window is one drain phase of a multi-shard run: events in
+// [start, end).
+type window struct{ start, end int64 }
+
+// driveSharded alternates drain and merge phases over one goroutine per
+// view — applying due topology changes at the barriers in between —
+// and folds the views' per-boundary occupancy into the run's peak.
+func (nw *Network) driveSharded(edges *fault.EdgeCursor) {
+	views := nw.views
+	lookahead := nw.cfg.RouterLatency + nw.cfg.PacketFlits + nw.minCutLatency(nw.par.shardOf)
+	// Persistent view workers: drain phase, barrier, merge phase,
 	// barrier, repeat. Outboxes written in a drain phase are read only
 	// in the following merge phase and reset by their owner at the
 	// start of the next drain phase; the coordinator's done-channel
 	// round trips order every transition.
-	drainCh := make([]chan int64, workers)
-	mergeCh := make([]chan struct{}, workers)
-	doneCh := make(chan struct{}, workers)
-	for s := 0; s < workers; s++ {
-		drainCh[s] = make(chan int64, 1)
+	drainCh := make([]chan window, len(views))
+	mergeCh := make([]chan struct{}, len(views))
+	doneCh := make(chan struct{}, len(views))
+	for s, v := range views {
+		drainCh[s] = make(chan window, 1)
 		mergeCh[s] = make(chan struct{}, 1)
-		go func(s int) {
-			sh := shards[s]
-			for end := range drainCh[s] {
-				for j := range sh.out {
-					sh.out[j] = sh.out[j][:0]
-				}
-				sh.drainUntil(end)
+		if int64(cap(v.occ)) < lookahead {
+			v.occ = make([]occupancy, lookahead)
+		}
+		go func(s int, v *Network) {
+			for w := range drainCh[s] {
+				v.resetOutbox()
+				v.winStart, v.obs = w.start, w.start
+				v.drainUntil(w.end)
+				v.observe(w.end, 0)
 				doneCh <- struct{}{}
 				<-mergeCh[s]
-				for _, src := range shards {
+				for _, src := range views {
 					for _, x := range src.out[s] {
-						sh.recv(x)
+						v.recv(x)
 					}
 				}
 				doneCh <- struct{}{}
 			}
-		}(s)
+		}(s, v)
 	}
-
-	edges := nw.cfg.Schedule.Cursor()
+	defer func() {
+		for _, ch := range drainCh {
+			close(ch)
+		}
+	}()
 	for {
 		next := int64(math.MaxInt64)
-		for _, sh := range shards {
-			if t := sh.sched.peekTime(); t < next {
-				next = t
-			}
+		for _, v := range views {
+			next = min(next, v.sched.peekTime())
 		}
-		// Apply every schedule change due at or before the global
-		// earliest pending event: everything before it has drained and
-		// all shards are parked, so this barrier is the parallel
-		// analogue of the serial engine's evTopo-before-same-cycle-
-		// traffic ordering. When the event stream has dried up (next ==
-		// MaxInt64) this drains the schedule's tail, matching the serial
-		// engine's trailing evTopo events.
-		for {
-			ci, ok := edges.Due(next)
-			if !ok {
-				break
-			}
-			nw.applyTopo(ci, nw.cfg.Schedule[ci].Cycle)
-			for _, sh := range shards {
-				sh.tbl = nw.tbl
-			}
-		}
+		nw.applyDue(edges, next)
 		if next == math.MaxInt64 {
-			break
+			return
 		}
 		end := next + lookahead
 		if c, ok := edges.Peek(); ok && c < end {
 			// Clip the window at the next change cycle so no window spans
-			// it: events in [next, c) drain now, the change applies at the
-			// next barrier, and only then does anything at or beyond c
-			// run. Clipping only shrinks windows, so lookahead safety is
-			// unaffected. Due consumed every change at or before next, so
+			// it. applyDue consumed every change at or before next, so
 			// c > next and the window is never empty.
 			end = c
 		}
-		for s := range drainCh {
-			drainCh[s] <- end
+		for _, ch := range drainCh {
+			ch <- window{next, end}
 		}
-		for range shards {
+		for range views {
 			<-doneCh
 		}
-		for s := range mergeCh {
-			mergeCh[s] <- struct{}{}
+		for _, ch := range mergeCh {
+			ch <- struct{}{}
 		}
-		for range shards {
+		for range views {
 			<-doneCh
 		}
+		for i := range end - next {
+			var o occupancy
+			for _, v := range views {
+				o.events += v.occ[i].events
+				o.packets += v.occ[i].packets
+			}
+			nw.par.peak.raise(o)
+		}
 	}
-	for s := range drainCh {
-		close(drainCh[s])
-	}
-
-	return nw.foldShards(shards)
 }
 
-// foldShards combines per-shard statistics into the run's Stats, in
-// shard order. Counters sum, extrema take the max, and the mean folds
-// from exact per-shard sums (integer-valued float64 well below 2^53,
-// so the fold is exact and independent of shard count). The P99 is the
-// weighted percentile of the shard samples: exact — and identical to
-// a serial percentile over the union — while every shard held all its
-// deliveries, a deterministic estimate once reservoirs kicked in.
-func (nw *Network) foldShards(shards []*Network) Stats {
-	st := Stats{}
-	var sum float64
-	var count int64
-	type wsample struct {
-		v int64
-		w float64
-	}
-	var samples []wsample
-	var mem int64
-	for _, sh := range shards {
-		st.Offered += sh.stats.Offered
-		st.Delivered += sh.stats.Delivered
-		st.TotalHops += sh.stats.TotalHops
-		st.ValiantTaken += sh.stats.ValiantTaken
-		st.PatternSkips += sh.stats.PatternSkips
-		st.SeveredInFlight += sh.stats.SeveredInFlight
-		if sh.stats.MaxLatency > st.MaxLatency {
-			st.MaxLatency = sh.stats.MaxLatency
-		}
-		if sh.stats.Makespan > st.Makespan {
-			st.Makespan = sh.stats.Makespan
-		}
-		if sh.stats.MaxVC > st.MaxVC {
-			st.MaxVC = sh.stats.MaxVC
-		}
-		sum += sh.lat.sum
-		count += sh.lat.count
-		if len(sh.lat.samples) > 0 {
-			w := float64(sh.lat.count) / float64(len(sh.lat.samples))
-			for _, v := range sh.lat.samples {
-				samples = append(samples, wsample{v, w})
-			}
-		}
-		// Private shard state; the shared arrays are charged once below.
-		mem += sh.sched.memoryBytes()
-		mem += int64(len(sh.packets))*int64(unsafe.Sizeof(packet{})) + int64(len(sh.free))*4
-		mem += int64(len(sh.pktUID)) * 16 // uid + rng sidecars
-		mem += sh.lat.memoryBytes()
-		mem += sh.memoryBytesTenants()
+// fold combines the views' statistics into the run's Stats, in view
+// order. Counters sum, extrema take the max, and the latency digests
+// merge into view 0's by summation, so the mean and P99 are exact over
+// every delivery and identical for every shard count.
+func (nw *Network) fold() Stats {
+	v0 := nw.views[0]
+	st := v0.stats
+	for _, v := range nw.views[1:] {
+		st.Offered += v.stats.Offered
+		st.Delivered += v.stats.Delivered
+		st.TotalHops += v.stats.TotalHops
+		st.ValiantTaken += v.stats.ValiantTaken
+		st.PatternSkips += v.stats.PatternSkips
+		st.SeveredInFlight += v.stats.SeveredInFlight
+		st.MaxLatency = max(st.MaxLatency, v.stats.MaxLatency)
+		st.Makespan = max(st.Makespan, v.stats.Makespan)
+		st.MaxVC = max(st.MaxVC, v.stats.MaxVC)
+		v0.lat.merge(&v.lat)
 	}
 	st.Dropped = st.Offered - st.Delivered
-	st.Tenants = nw.foldTenantShards(shards)
-	if count > 0 {
-		st.MeanLatency = sum / float64(count)
-		st.MeanHops = float64(st.TotalHops) / float64(count)
-		sort.Slice(samples, func(i, j int) bool { return samples[i].v < samples[j].v })
-		var total float64
-		for _, s := range samples {
-			total += s.w
-		}
-		thr := 0.99 * total
-		var cum float64
-		for _, s := range samples {
-			cum += s.w
-			if cum >= thr {
-				st.P99Latency = s.v
-				break
-			}
-		}
+	if d := &v0.lat; d.count > 0 {
+		st.MeanLatency = d.mean()
+		st.MeanHops = float64(st.TotalHops) / float64(d.count)
+		st.P99Latency = d.quantile(0.99)
 	}
-	mem += int64(len(nw.gens)) * (int64(unsafe.Sizeof(epGen{})) + 48)
-	for _, pf := range nw.portFree {
-		mem += int64(len(pf)) * 8
-	}
-	mem += int64(len(nw.injFree)+len(nw.ejFree)) * 8
-	// Shared live-topology state of a scheduled run: masks plus the
-	// run-local table, charged once (shards alias it).
-	if nw.live != nil {
-		mem += nw.live.memoryBytes(nw.table)
-	}
-	st.MemoryBytes = mem
+	st.Tenants = nw.foldTenants()
+	st.MemoryBytes = nw.MemoryBytes()
 	nw.stats = st
 	return st
 }

@@ -15,10 +15,10 @@ import (
 	"repro/internal/topo"
 )
 
-// runAt runs the class-1 instance with the given engine selection.
-func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs, latCap int) Stats {
+// runAt runs the class-1 instance on the given number of shards.
+func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs int) Stats {
 	tb.Helper()
-	nw := class1StreamNet(tb, latCap)
+	nw := class1StreamNet(tb)
 	nw.SetPolicy(policy)
 	nw.SetWorkers(workers)
 	return nw.RunLoad(uniformPattern(nw.Endpoints()), load, msgs)
@@ -36,11 +36,10 @@ func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs
 // a single endpoint's stream, whose injections the NIC already
 // serializes one flit-time apart — so no two packets ever contend for
 // the same resource in the same cycle, and the simulated schedule is
-// tie-free. Under those conditions serial and parallel runs must
+// tie-free. Under those conditions one-shard and sharded runs must
 // agree on every statistic at a fully contended load, not just a
-// light one. (With path choice or same-cycle ties in play the two
-// engines are different deterministic schedules; see
-// TestParallelConservationHeavyLoad.)
+// light one. (The gate predates the single engine, under which they
+// agree on every workload; see TestStatsIdenticalForEveryWorkerCount.)
 func TestParallelMatchesSerialClass1Gate(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -91,15 +90,14 @@ func TestParallelMatchesSerialClass1Gate(t *testing.T) {
 	}
 }
 
-// At contended loads path choice feeds back into queueing, so the
-// parallel engine is a different deterministic schedule than serial —
-// but message conservation is schedule-independent: the workload
-// streams are identical and every offered message is delivered or
-// dropped by static reachability, not by timing.
+// At contended loads path choice feeds back into queueing; message
+// conservation holds regardless: the workload streams are identical
+// and every offered message is delivered or dropped by static
+// reachability, not by timing.
 func TestParallelConservationHeavyLoad(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.Valiant, routing.UGALL} {
-		serial := runAt(t, 1, pol, streamGateLoad, streamGateMsgs, 0)
-		par := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
+		serial := runAt(t, 1, pol, streamGateLoad, streamGateMsgs)
+		par := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
 		if par.Offered != serial.Offered || par.Delivered != serial.Delivered ||
 			par.Dropped != serial.Dropped || par.PatternSkips != serial.PatternSkips {
 			t.Errorf("policy %v: conservation broken: parallel %d/%d/%d/%d, serial %d/%d/%d/%d",
@@ -119,8 +117,8 @@ func TestParallelConservationHeavyLoad(t *testing.T) {
 // Fixed (seed, Workers) must reproduce bit-identical statistics.
 func TestParallelDeterministic(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
-		a := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
-		b := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
+		a := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
+		b := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
 		if !a.Equal(b) {
 			t.Errorf("policy %v: repeated parallel runs diverged:\n%+v\n%+v", pol, a, b)
 		}
@@ -129,17 +127,16 @@ func TestParallelDeterministic(t *testing.T) {
 
 // The canonical event order makes the simulated schedule a pure
 // function of the seed, independent of the shard count: every
-// Workers>=2 run must produce identical statistics (MemoryBytes aside
-// — shard structure is real memory — and P99 once per-shard
-// reservoirs engage, which the raised sample cap avoids here).
+// sharded run must produce identical statistics (this test predates
+// the one-engine contract and zeroes MemoryBytes;
+// TestStatsIdenticalForEveryWorkerCount compares it too).
 // The scheduled and timed-pattern extensions of this contract live in
 // TestScheduleParallelWorkerInvariance (schedule_test.go) and
 // TestScheduleTimedWorkerCountInvariance below.
 func TestParallelWorkerCountInvariance(t *testing.T) {
-	const sampleCap = 1 << 20 // retain every latency: exact P99 fold
-	base := runAt(t, 2, routing.UGALL, streamGateLoad, streamGateMsgs, sampleCap)
+	base := runAt(t, 2, routing.UGALL, streamGateLoad, streamGateMsgs)
 	for _, w := range []int{3, 4, 8} {
-		st := runAt(t, w, routing.UGALL, streamGateLoad, streamGateMsgs, sampleCap)
+		st := runAt(t, w, routing.UGALL, streamGateLoad, streamGateMsgs)
 		a, b := base, st
 		a.MemoryBytes, b.MemoryBytes = 0, 0
 		if !a.Equal(b) {
@@ -149,13 +146,13 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 }
 
 // TestScheduleParallelMatchesSerialClass1Gate is the tie-free
-// scheduled gate of the unified engine: serial and parallel runs of a
+// scheduled gate: one-shard and sharded runs of a
 // class-1 instance with a mid-run kill/revive schedule must agree
 // EXACTLY on every statistic (counts, mean, max, P99, makespan,
 // SeveredInFlight), for every worker count.
 //
-// The construction keeps the schedule out of the tie-breaking games
-// the engines play differently: the workload is the one-hop neighbor
+// The construction keeps the schedule out of every tie-breaking
+// question: the workload is the one-hop neighbor
 // pattern at concentration 1 (unique shortest paths, no port
 // contention — see TestParallelMatchesSerialClass1Gate), and the
 // schedule only kills routers and cuts exactly their incident links.
@@ -163,7 +160,7 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 // endpoint router, so packets that would cross it are dropped, not
 // diverted — which makes every drop (NIC-dead, severed mid-flight,
 // severed in the ejection pipeline, unreachable-destination) a pure
-// function of exact event times that both engines compute identically.
+// function of exact event times.
 func TestScheduleParallelMatchesSerialClass1Gate(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -193,8 +190,7 @@ func TestScheduleParallelMatchesSerialClass1Gate(t *testing.T) {
 	run := func(workers int) Stats {
 		nw, err := New(Config{
 			Topo: inst.G, Concentration: 1, Seed: 11, Workers: workers,
-			Schedule:         sched,
-			LatencySampleCap: 1 << 20, // retain every latency: exact P99 in both engines
+			Schedule: sched,
 		}, tab)
 		if err != nil {
 			t.Fatal(err)
@@ -221,10 +217,10 @@ func TestScheduleParallelMatchesSerialClass1Gate(t *testing.T) {
 	}
 }
 
-// The worker-count invariance contract extends to the unified
-// engine's schedule barriers and to RunLoadTimed: a churned run under
-// a time-varying workload produces identical statistics for every
-// Workers >= 2.
+// The worker-count invariance contract extends to the engine's
+// schedule barriers and to RunLoadTimed: a churned run under a
+// time-varying workload produces identical statistics for every
+// shard count.
 func TestScheduleTimedWorkerCountInvariance(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -238,8 +234,7 @@ func TestScheduleTimedWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) Stats {
 		nw, err := New(Config{
 			Topo: inst.G, Concentration: 4, Seed: 11, Workers: workers,
-			Schedule:         sched,
-			LatencySampleCap: 1 << 20,
+			Schedule: sched,
 		}, tab)
 		if err != nil {
 			t.Fatal(err)
@@ -324,8 +319,8 @@ func TestScheduleParallelSpeedupGate(t *testing.T) {
 	}
 }
 
-// Unsupported configurations must fall back to the serial engine and
-// reproduce its statistics exactly.
+// Configurations that touch other routers' port state clamp to one
+// shard and reproduce the Workers=0 statistics exactly.
 func TestParallelFallbacks(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -348,8 +343,8 @@ func TestParallelFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		par := mk(tc.cfg)
-		if got := par.parWorkers(); got != 1 {
-			t.Fatalf("%s: parWorkers() = %d, want serial fallback", tc.name, got)
+		if got := par.shardCount(); got != 1 {
+			t.Fatalf("%s: shardCount() = %d, want one shard", tc.name, got)
 		}
 		cfgSerial := tc.cfg
 		cfgSerial.Workers = 0
@@ -369,14 +364,14 @@ func TestParallelFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tiny.parWorkers(); got != 1 {
-		t.Errorf("tiny topology: parWorkers() = %d, want serial fallback", got)
+	if got := tiny.shardCount(); got != 1 {
+		t.Errorf("tiny topology: shardCount() = %d, want one shard", got)
 	}
 }
 
 // Dead routers drop messages by static reachability (NIC drops and
-// unreachable-next-hop drops), so delivered/dropped must match serial
-// in parallel mode even on damaged topologies.
+// unreachable-next-hop drops), so delivered/dropped must match across
+// shard counts even on damaged topologies.
 func TestParallelDamagedConservation(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -420,8 +415,8 @@ func TestRunLoadParallelSpeedupGate(t *testing.T) {
 	if n := runtime.GOMAXPROCS(0); n < 4 {
 		t.Skipf("need 4 cores, have %d", n)
 	}
-	serialNet := class1StreamNet(t, 0)
-	parNet := class1StreamNet(t, 0)
+	serialNet := class1StreamNet(t)
+	parNet := class1StreamNet(t)
 	parNet.SetWorkers(4)
 	patS := uniformPattern(serialNet.Endpoints())
 	patP := uniformPattern(parNet.Endpoints())
@@ -449,11 +444,11 @@ func TestRunLoadParallelSpeedupGate(t *testing.T) {
 }
 
 // BenchmarkRunLoadParallel measures the class-1 hot path across worker
-// counts (1 = the serial reference engine).
+// counts (1 = one shard, drained inline).
 func BenchmarkRunLoadParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			nw := class1StreamNet(b, 0)
+			nw := class1StreamNet(b)
 			nw.SetWorkers(w)
 			pattern := uniformPattern(nw.Endpoints())
 			nw.RunLoad(pattern, streamGateLoad, speedupGateMsgs)
@@ -462,5 +457,86 @@ func BenchmarkRunLoadParallel(b *testing.B) {
 				nw.RunLoad(pattern, streamGateLoad, speedupGateMsgs)
 			}
 		})
+	}
+}
+
+// TestStatsIdenticalForEveryWorkerCount is the one-engine contract:
+// for every policy — UGAL-G and finite buffers included, which always
+// run on one shard — and every run shape (static, under churn, with a
+// timed pattern under churn, motif rounds), every Workers value gives
+// Stats.Equal results: MemoryBytes included, and with more than 8192
+// deliveries per run so the latency digests fold across shards.
+func TestStatsIdenticalForEveryWorkerCount(t *testing.T) {
+	inst := topo.MustLPS(11, 7)
+	tab := routing.NewTable(inst.G)
+	churn, err := fault.ChurnSpec{
+		Kind: fault.Links, Fraction: 0.02,
+		Period: 1500, Outage: 700, Repeats: 2, Seed: 7,
+	}.Schedule(inst.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conc, msgs = 4, 16
+	nep := inst.G.N() * conc
+	rng := rand.New(rand.NewSource(5))
+	rounds := make([][]Message, 4)
+	for r := range rounds {
+		for m := 0; m < msgs/len(rounds)*nep; m++ {
+			rounds[r] = append(rounds[r], Message{SrcEP: m % nep, DstEP: rng.Intn(nep)})
+		}
+	}
+	uniform := uniformPattern(nep)
+	shifting := func(src int, now int64, rng *rand.Rand) int {
+		if (now/1500)%2 == 0 {
+			return rng.Intn(nep)
+		}
+		return (src + 7) % nep
+	}
+	shapes := []struct {
+		name  string
+		sched fault.Schedule
+		run   func(nw *Network) (Stats, error)
+	}{
+		{"static", nil, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
+		{"churn", churn, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
+		{"timed", churn, func(nw *Network) (Stats, error) { return nw.RunLoadTimed(shifting, streamGateLoad, msgs), nil }},
+		{"batches", nil, func(nw *Network) (Stats, error) { return nw.RunBatches(rounds) }},
+	}
+	configs := []struct {
+		name    string
+		policy  routing.Policy
+		buffers int
+	}{
+		{"minimal", routing.Minimal, 0},
+		{"valiant", routing.Valiant, 0},
+		{"ugal-l", routing.UGALL, 0},
+		{"ugal-g", routing.UGALG, 0},
+		{"buffers", routing.Minimal, 4},
+	}
+	for _, c := range configs {
+		for _, sh := range shapes {
+			var base Stats
+			for i, w := range []int{0, 1, 2, 4, 8} {
+				nw, err := New(Config{
+					Topo: inst.G, Concentration: conc, Seed: 11, Workers: w,
+					Policy: c.policy, BufferPackets: c.buffers, Schedule: sh.sched,
+				}, tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := sh.run(nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					if st.Delivered <= 8192 {
+						t.Fatalf("%s/%s: %d deliveries, want > 8192", c.name, sh.name, st.Delivered)
+					}
+					base = st
+				} else if !st.Equal(base) {
+					t.Errorf("%s/%s: workers=%d stats differ from workers=0:\n%+v\n%+v", c.name, sh.name, w, st, base)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math/bits"
-	"unsafe"
+	"slices"
 )
 
 // scheduler is the event queue of the run loop: a calendar queue
@@ -18,13 +19,14 @@ import (
 // cursor advances past their horizon.
 //
 // Ordering contract (identical to the old global heap): events pop in
-// strictly nondecreasing (time, seq) order. Within a bucket this falls
-// out of append order: a non-empty bucket holds events of exactly one
-// absolute time (two times congruent mod wheelSize are ≥ wheelSize
-// apart, so they can never share the window), direct pushes append in
-// increasing seq, and migration — which runs before any later direct
-// push can target the bucket — drains the overflow heap in (time, seq)
-// order.
+// strictly nondecreasing (time, seq) order, where seq is the event's
+// canonical key (parallel.go). A non-empty bucket holds events of
+// exactly one absolute time (two times congruent mod wheelSize are
+// ≥ wheelSize apart, so they can never share the window), so only the
+// seq order within a bucket needs care: pushes arrive in whatever order
+// the run loop generates them, so a push that lands behind a larger key
+// marks its bucket unordered, and the bucket is sorted by seq when it
+// is next popped. Buckets filled in key order are never sorted.
 type scheduler struct {
 	// cur is the time cursor: every popped event had time ≤ cur, every
 	// queued event has time ≥ cur, and the wheel window is
@@ -32,18 +34,11 @@ type scheduler struct {
 	cur    int64
 	count  int // total queued events (wheel + overflow)
 	wcount int // events currently in the wheel
-	peak   int // high-water mark of count within the current run
-
-	// sorted selects the parallel-shard pop rule: take the minimum-seq
-	// event of the head bucket instead of FIFO order. Shard schedulers
-	// receive same-time pushes out of seq order (seq is the canonical
-	// event key there, not a push counter), so the append-order
-	// invariant behind the FIFO fast path does not hold for them.
-	sorted bool
 
 	buckets  [][]event // wheelSize buckets of one cycle each
 	bhead    []int32   // per-bucket FIFO head (consumed prefix)
 	occ      []uint64  // occupancy bitmap over the buckets
+	unord    []uint64  // buckets holding a push that arrived out of seq order
 	overflow eventQueue
 }
 
@@ -61,16 +56,16 @@ func (s *scheduler) reset() {
 		s.buckets = make([][]event, wheelSize)
 		s.bhead = make([]int32, wheelSize)
 		s.occ = make([]uint64, wheelWords)
+		s.unord = make([]uint64, wheelWords)
 	}
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 		s.bhead[i] = 0
 	}
-	for i := range s.occ {
-		s.occ[i] = 0
-	}
+	clear(s.occ)
+	clear(s.unord)
 	s.overflow = s.overflow[:0]
-	s.cur, s.count, s.wcount, s.peak = 0, 0, 0, 0
+	s.cur, s.count, s.wcount = 0, 0, 0
 }
 
 // push queues an event. The run loop never schedules into the past;
@@ -81,9 +76,6 @@ func (s *scheduler) push(e event) {
 		e.time = s.cur
 	}
 	s.count++
-	if s.count > s.peak {
-		s.peak = s.count
-	}
 	if e.time < s.cur+wheelSize {
 		s.bucketPush(e)
 		return
@@ -93,10 +85,13 @@ func (s *scheduler) push(e event) {
 
 func (s *scheduler) bucketPush(e event) {
 	b := int(e.time & wheelMask)
-	if len(s.buckets[b]) == 0 {
+	bk := s.buckets[b]
+	if n := len(bk); n == 0 {
 		s.occ[b>>6] |= 1 << uint(b&63)
+	} else if bk[n-1].seq > e.seq {
+		s.unord[b>>6] |= 1 << uint(b&63)
 	}
-	s.buckets[b] = append(s.buckets[b], e)
+	s.buckets[b] = append(bk, e)
 	s.wcount++
 }
 
@@ -128,30 +123,11 @@ func (s *scheduler) nextOccupied() int {
 	}
 }
 
-// pop removes and returns the earliest event by (time, seq). The
-// caller must check count > 0 first.
-func (s *scheduler) pop() event {
-	if s.wcount == 0 {
-		// Everything pending is beyond the horizon: jump the window to
-		// the earliest overflow event and pull the new window in.
-		s.cur = s.overflow[0].time
-		s.migrate()
-	}
-	b := s.nextOccupied()
-	t := s.cur + (int64(b)-s.cur)&wheelMask
-	if t > s.cur {
-		s.cur = t
-		s.migrate()
-	}
-	return s.takeFrom(b)
-}
-
-// popBefore pops the earliest event only if its time lies before end.
-// It is the fused peek+pop of the parallel window loop: one bitmap
-// scan decides and extracts, where a peekTime+pop pair would scan
-// twice per event. A failed attempt may still advance the cursor to
-// the earliest queued time, which preserves every invariant (cur
-// never exceeds a queued event's time).
+// popBefore pops the earliest event by (time, seq) only if its time
+// lies before end. It is the fused peek+pop of the run loop's windows:
+// one bitmap scan decides and extracts. A failed attempt may still
+// advance the cursor to the earliest queued time, which preserves
+// every invariant (cur never exceeds a queued event's time).
 func (s *scheduler) popBefore(end int64) (event, bool) {
 	if s.count == 0 {
 		return event{}, false
@@ -179,18 +155,9 @@ func (s *scheduler) popBefore(end int64) (event, bool) {
 // established is the head bucket of the wheel.
 func (s *scheduler) takeFrom(b int) event {
 	bk := s.buckets[b]
-	if s.sorted {
-		// A bucket holds events of exactly one absolute time, so
-		// selecting the minimum seq restores full (time, seq) order for
-		// out-of-order same-time pushes. Buckets hold the events of one
-		// cycle of one shard, so the scan is short.
-		min := int(s.bhead[b])
-		for i := min + 1; i < len(bk); i++ {
-			if bk[i].seq < bk[min].seq {
-				min = i
-			}
-		}
-		bk[min], bk[s.bhead[b]] = bk[s.bhead[b]], bk[min]
+	if w, bit := b>>6, uint64(1)<<uint(b&63); s.unord[w]&bit != 0 {
+		sortEvents(bk[s.bhead[b]:])
+		s.unord[w] &^= bit
 	}
 	e := bk[s.bhead[b]]
 	s.bhead[b]++
@@ -219,16 +186,68 @@ func (s *scheduler) peekTime() int64 {
 	return s.cur + (int64(b)-s.cur)&wheelMask
 }
 
-// memoryBytes reports the scheduler's peak footprint for the current
-// run: the event high-water mark plus the fixed wheel structure. The
-// accounting is length-based, not capacity-based, so the value is a
-// pure function of the run — identical whether the Network is fresh,
-// cloned, or reused (retained capacity slack from earlier runs does
-// not leak in).
-func (s *scheduler) memoryBytes() int64 {
-	const eventBytes = int64(unsafe.Sizeof(event{}))
-	b := int64(s.peak) * eventBytes
-	// Bucket slice headers, FIFO heads, and the occupancy bitmap.
-	b += int64(len(s.buckets))*24 + int64(len(s.bhead))*4 + int64(len(s.occ))*8
-	return b
+// wheelBytes is the scheduler's fixed structure: bucket slice
+// headers, FIFO heads and the two bitmaps. Queued events are charged
+// separately, from the run's peak pending-event count (see
+// Network.MemoryBytes).
+const wheelBytes = wheelSize*(24+4) + 2*wheelWords*8
+
+// sortEvents orders es by seq, ascending. Keys are unique. It is the
+// scheduler's one superlinear step, run at most once per out-of-order
+// push, so it is specialized to the event type (no comparator
+// indirection): quicksort with a median-of-three pivot down to short
+// runs, which insertion sort finishes. Recursing only into the smaller
+// side bounds the stack; a bucket whose partitions keep degenerating
+// (depth past 2·log2 n) is handed to slices.SortFunc, so the cost stays
+// O(k log k) for every bucket size k — motif rounds put a whole round's
+// injections into a few large buckets.
+func sortEvents(es []event) {
+	depth := 2 * bits.Len(uint(len(es)))
+	for len(es) > 12 {
+		if depth == 0 {
+			slices.SortFunc(es, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+			return
+		}
+		depth--
+		n, m := len(es)-1, len(es)/2
+		if es[m].seq < es[0].seq {
+			es[m], es[0] = es[0], es[m]
+		}
+		if es[n].seq < es[0].seq {
+			es[n], es[0] = es[0], es[n]
+		}
+		if es[n].seq < es[m].seq {
+			es[n], es[m] = es[m], es[n]
+		}
+		p := es[m].seq
+		i, j := 0, n
+		for i <= j {
+			for es[i].seq < p {
+				i++
+			}
+			for es[j].seq > p {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		if j+1 < len(es)-i {
+			sortEvents(es[:j+1])
+			es = es[i:]
+		} else {
+			sortEvents(es[i:])
+			es = es[:j+1]
+		}
+	}
+	for i := 1; i < len(es); i++ {
+		e := es[i]
+		j := i
+		for ; j > 0 && es[j-1].seq > e.seq; j-- {
+			es[j] = es[j-1]
+		}
+		es[j] = e
+	}
 }

@@ -2,28 +2,26 @@ package simnet
 
 import (
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/routing"
 )
 
 // Timed topology events (Config.Schedule): the live-topology half of
-// the simulator, shared by both engines. A scheduled run owns one
-// liveTopo — the link/router masks plus the live routing table — and
-// applies each fault.Change to it exactly once, in schedule order:
-// the serial engine at the change's evTopo event, the sharded engine
-// at the window barrier its coordinator plans on the change's cycle
-// (fault.EdgeCursor clips drain windows so none spans a change). Both
-// paths funnel through liveTopo.apply, so the live state an event at
-// cycle t observes is a pure function of (schedule, t) regardless of
-// engine or worker count. See DESIGN.md §10.
+// the simulator. A scheduled run owns one liveTopo — the link/router
+// masks plus the live routing table — and applies each fault.Change to
+// it exactly once, in schedule order, at the window barrier the run
+// loop plans on the change's cycle (fault.EdgeCursor clips drain
+// windows so none spans a change). The live state an event at cycle t
+// observes is therefore a pure function of (schedule, t), whatever the
+// worker count. See DESIGN.md §10.
 
-// liveTopo is the run-local live topology of a scheduled run. The
-// serial engine owns it alone; in a parallel run every shard aliases
-// the coordinator's liveTopo, which is written only while all shards
-// are parked at a barrier and read-only in between — the same
-// contract as the routing table's concurrent-reader guarantee.
+// liveTopo is the run-local live topology of a scheduled run. Every
+// view aliases the coordinator's liveTopo, which is written only while
+// all views are parked at a barrier and read-only in between — the
+// same contract as the routing table's concurrent-reader guarantee.
 type liveTopo struct {
-	sched  fault.Schedule
-	slotOf []map[int32]int // shared with the Network, read-only
+	sched fault.Schedule
+	topo  *graph.Graph // the base topology, whose neighbor order numbers the ports
 	// deadRun extends the static dead mask with scheduled
 	// kills/revivals; downPort[r][slot] marks a cut link in each
 	// direction.
@@ -42,7 +40,7 @@ type liveTopo struct {
 func newLiveTopo(sched fault.Schedule, nw *Network) *liveTopo {
 	lt := &liveTopo{
 		sched:    sched,
-		slotOf:   nw.slotOf,
+		topo:     nw.cfg.Topo,
 		deadRun:  make([]bool, nw.n),
 		downPort: make([][]bool, nw.n),
 		tbl:      nw.table,
@@ -58,13 +56,13 @@ func newLiveTopo(sched fault.Schedule, nw *Network) *liveTopo {
 
 // linkUp reports whether link e is currently up.
 func (lt *liveTopo) linkUp(e [2]int32) bool {
-	return !lt.downPort[e[0]][lt.slotOf[e[0]][e[1]]]
+	return !lt.downPort[e[0]][portSlot(lt.topo, e[0], e[1])]
 }
 
 // setLink marks both directions of link e up or down.
 func (lt *liveTopo) setLink(e [2]int32, up bool) {
-	lt.downPort[e[0]][lt.slotOf[e[0]][e[1]]] = !up
-	lt.downPort[e[1]][lt.slotOf[e[1]][e[0]]] = !up
+	lt.downPort[e[0]][portSlot(lt.topo, e[0], e[1])] = !up
+	lt.downPort[e[1]][portSlot(lt.topo, e[1], e[0])] = !up
 }
 
 // apply fires schedule change ci. Cuts and kills apply before restores
@@ -129,12 +127,10 @@ func (nw *Network) deadNow(r int32) bool {
 	return nw.isDead(r)
 }
 
-// applyTopo applies schedule change ci at cycle now on behalf of the
-// current engine: mutate the live topology, re-sync the run's
-// fast-path table pointer, and fire the boundary hook. The serial
-// engine calls it from the change's evTopo event; the parallel
-// coordinator calls it at a window barrier (with every shard parked)
-// and then re-points each shard's alias too.
+// applyTopo applies schedule change ci at cycle now: mutate the live
+// topology, re-sync the run's live-table pointer, and fire the boundary
+// hook. The run loop calls it at a window barrier, with every view
+// parked, and then re-points each view's alias too.
 func (nw *Network) applyTopo(ci int, now int64) {
 	nw.live.apply(ci)
 	nw.tbl = nw.live.tbl
@@ -143,30 +139,25 @@ func (nw *Network) applyTopo(ci int, now int64) {
 	}
 }
 
-// inFlight returns the packets currently in this Network view — the
-// third term of the conservation invariant
-// Offered == Delivered + dropRun + inFlight, which holds at every
-// event boundary of a serial run and every window barrier of a
-// parallel one (the schedule tests enforce it via onTopo). For a
-// whole parallel run, sum over shards: see conservation.
+// inFlight returns the packets currently in this view — the third
+// term of the conservation invariant Offered == Delivered + dropRun +
+// inFlight, which holds summed over views at every window barrier (the
+// schedule tests enforce it via onTopo); see conservation.
 func (nw *Network) inFlight() int { return len(nw.packets) - len(nw.free) }
 
 // conservation returns the run's aggregate (offered, delivered,
-// dropped, in-flight) message counts: the Network's own counters for
-// a serial run, the sum over shards for a parallel run. The parallel
-// sums are exact at window barriers and after the run — the only
-// moments the coordinator (or a test hook it calls) can observe them —
-// because shards are parked there and every cross-shard handoff has
-// been absorbed, so each packet lives in exactly one arena.
+// dropped, in-flight) message counts: the sums over the views of the
+// current (or latest) run. The sums are exact at window barriers and
+// after the run — the only moments the coordinator (or a test hook it
+// calls) can observe them — because the views are parked there and
+// every cross-shard handoff has been absorbed, so each packet lives in
+// exactly one arena.
 func (nw *Network) conservation() (offered, delivered, dropped, inFlight int) {
-	if len(nw.parShards) > 0 {
-		for _, sh := range nw.parShards {
-			offered += sh.stats.Offered
-			delivered += sh.stats.Delivered
-			dropped += sh.dropRun
-			inFlight += sh.inFlight()
-		}
-		return
+	for _, v := range nw.views {
+		offered += v.stats.Offered
+		delivered += v.stats.Delivered
+		dropped += v.dropRun
+		inFlight += v.inFlight()
 	}
-	return nw.stats.Offered, nw.stats.Delivered, nw.dropRun, nw.inFlight()
+	return
 }

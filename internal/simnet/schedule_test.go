@@ -23,12 +23,11 @@ func chordRing(n int) *graph.Graph {
 }
 
 // hookConservation installs the event-boundary invariant check: at
-// every applied topology change (a serial evTopo event or a parallel
-// window barrier — both fire onTopo) and, via the returned func, at
-// run end, every offered message is delivered, dropped, or still in
-// flight — nothing is double-counted or leaks. conservation()
-// aggregates across shards on a parallel run, so the same hook checks
-// both engines.
+// every applied topology change (a window barrier, which fires onTopo)
+// and, via the returned func, at run end, every offered message is
+// delivered, dropped, or still in flight — nothing is double-counted or
+// leaks. conservation() aggregates across shards, so the same hook
+// checks every shard count.
 func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 	t.Helper()
 	check := func(now int64, label string) {
@@ -56,13 +55,10 @@ func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 
 // runChurnConservation is the shared body of the property test and the
 // fuzz target: sample a churn schedule from the raw parameters, run a
-// loaded simulation over it on both engines (serial and the sharded
-// engine at 4 workers), and require conservation at every event
-// boundary and at the end. The two engines are different deterministic
-// schedules under churn — severed-in-flight drops depend on where
-// packets sit when a change fires — so each engine checks its own
-// invariant; no cross-engine count equality is asserted here (the
-// tie-free gate in parallel_test.go does that).
+// loaded simulation over it at one shard and at 4 shards, and require
+// conservation at every event boundary and at the end. Each run checks
+// its own invariant; cross-worker equality is asserted elsewhere
+// (TestStatsIdenticalForEveryWorkerCount).
 func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRaw, fracRaw uint8) {
 	g := chordRing(16)
 	spec := fault.ChurnSpec{
@@ -198,12 +194,11 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 }
 
 func TestScheduleParallelWorkerInvariance(t *testing.T) {
-	// Scheduled runs shard like any other (the PR 7 serial pin is
-	// gone), and the unified engine's determinism contract extends to
-	// them: the live state an event at cycle t observes is a pure
-	// function of (schedule, t), so every Workers >= 2 run produces
-	// identical statistics. MemoryBytes is zeroed — shard structure is
-	// real memory and varies with the worker count.
+	// Scheduled runs shard like any other, and the engine's determinism
+	// contract extends to them: the live state an event at cycle t
+	// observes is a pure function of (schedule, t), so every shard
+	// count produces identical statistics. (This test predates the
+	// one-engine contract and zeroes MemoryBytes.)
 	g := chordRing(24)
 	sched := fault.Schedule{
 		{Cycle: 300, Cut: [][2]int32{{0, 1}, {5, 6}}, Kill: []int32{9}},
@@ -212,13 +207,12 @@ func TestScheduleParallelWorkerInvariance(t *testing.T) {
 	tab := routing.NewTable(g)
 	nw, err := New(Config{
 		Topo: g, Concentration: 2, Seed: 4, Schedule: sched, Workers: 4,
-		LatencySampleCap: 1 << 20, // retain every latency: exact P99 fold
 	}, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := nw.parWorkers(); w != 4 {
-		t.Fatalf("parWorkers() = %d with a schedule, want 4 (scheduled runs shard)", w)
+	if w := nw.shardCount(); w != 4 {
+		t.Fatalf("shardCount() = %d with a schedule, want 4 (scheduled runs shard)", w)
 	}
 	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	base := nw.RunLoad(pattern, 0.4, 10)
@@ -264,7 +258,7 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both engines: serial, then sharded (n=16 routers caps at 4 shards).
+	// One shard, then four (n=16 routers caps at 4 shards).
 	for _, workers := range []int{0, 4} {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)

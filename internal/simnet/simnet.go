@@ -18,25 +18,26 @@
 // hops traversed) and validated against the d+1 / 2d+1 budgets of §V-A.
 //
 // A Network separates immutable instance state (topology, routing
-// table, port maps) from per-run state (ports, RNG, event queue,
+// table, shard maps) from per-run state (ports, event queues,
 // statistics). Clone produces a cheap second instance sharing the
 // immutable half, so a sweep executor can run many configurations of
-// the same instance concurrently — see internal/sweep.
+// the same instance concurrently — see internal/sweep. Every run goes
+// through one engine (parallel.go), split into Config.Workers router
+// shards, with results identical for every shard count.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next
 // arrival, delivered packets recycle arena slots through a freelist,
-// and latency statistics fold into a bounded digest (latDigest) — so
-// steady-state memory is O(active packets + endpoints), not O(total
-// offered traffic). Events dispatch through a calendar-queue scheduler
-// (sched.go) sized to the model's cycle granularity, with a heap
-// fallback for far-future events. See DESIGN.md §9 for the memory
-// model.
+// and latency statistics fold into an exact per-latency histogram
+// (latDigest) — so steady-state memory is O(active packets + endpoints
+// + largest latency), not O(total offered traffic). Events dispatch
+// through a calendar-queue scheduler (sched.go) sized to the model's
+// cycle granularity, with a heap fallback for far-future events. See
+// DESIGN.md §9 for the memory model.
 package simnet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -77,13 +78,6 @@ type Config struct {
 	// endpoints are dropped at the NIC and counted in Stats.Dropped.
 	// Length must equal Topo.N() when non-nil.
 	DeadRouters []bool
-	// LatencySampleCap bounds the per-run latency sample behind the
-	// P99Latency statistic: up to this many delivered latencies are
-	// retained exactly; beyond it a deterministic reservoir (seeded by
-	// Seed) keeps a uniform sample, so the percentile becomes an
-	// estimate while MeanLatency and MaxLatency stay exact. 0 selects
-	// the default (8192).
-	LatencySampleCap int
 	// Schedule lists timed topology events — link cuts/restores, router
 	// kills/revivals, planned rewiring steps — applied mid-run at their
 	// cycles (fault.Schedule; see DESIGN.md §10). At each event the run's
@@ -94,28 +88,25 @@ type Config struct {
 	// in Stats.SeveredInFlight. Every pair must be an edge of Topo
 	// (restores bring base-topology links back — the schedule can never
 	// grow the topology past Topo). Nil/empty means a static topology
-	// and changes nothing. Scheduled runs work on both engines: the
-	// serial event loop interleaves the changes as evTopo events, the
-	// sharded engine (Workers >= 2) clips its drain windows at change
-	// cycles and applies each change at a global window barrier — same
-	// live state at every cycle either way (DESIGN.md §10). RunBatches
-	// returns an error on a scheduled instance: motif rounds have no
-	// global clock a schedule could be pinned to.
+	// and changes nothing. The run loop clips its drain windows at
+	// change cycles and applies each change while every shard is parked,
+	// so an event at cycle t sees exactly the changes with Cycle <= t,
+	// for every Workers value (DESIGN.md §10). RunBatches returns an
+	// error on a scheduled instance: motif rounds have no global clock a
+	// schedule could be pinned to.
 	Schedule fault.Schedule
 	// Seed drives all randomized choices.
 	Seed int64
-	// Workers selects the RunLoad/RunLoadTimed engine: 0 or 1 is the
-	// serial reference event loop (bit-identical to the historical
-	// simulator), >= 2 runs the sharded conservative parallel engine
-	// (parallel.go) with that many shards — including runs with a
-	// timed topology Schedule or a timed traffic pattern. Parallel
-	// runs are deterministic for a fixed (Seed, Workers) — in fact
-	// identical for every Workers >= 2 (see DESIGN.md §10 for the
-	// small print) — but use per-packet routing-RNG streams, so they
-	// are a different deterministic schedule than Workers<=1.
-	// Configurations the parallel engine does not support (UGAL-G,
-	// finite buffers, tiny topologies) fall back to serial; RunBatches
-	// is always serial.
+	// Workers is the number of router shards a run is split into, each
+	// drained on its own goroutine; 0 and 1 mean one shard, drained
+	// inline on the caller's goroutine. Every run — RunLoad,
+	// RunLoadTimed, RunBatches, scheduled or not — goes through the same
+	// engine (parallel.go), whose event order and routing randomness
+	// derive from canonical message identities, so Stats are identical
+	// for every Workers value (DESIGN.md §10). Workers only trades
+	// wall-clock time for cores. Configurations that read or write port
+	// state of other routers (UGAL-G, finite buffers) and topologies too
+	// small to split run on one shard.
 	Workers int
 }
 
@@ -137,7 +128,15 @@ func (c Config) withDefaults() Config {
 
 // Network is a simulation instance. It may be reused across runs; each
 // run resets all port and statistics state. The topology, routing
-// table and port maps are immutable after New and shared by Clone.
+// table and instance configuration are immutable after New and shared
+// by Clone.
+//
+// The same struct plays two roles. The Network a caller holds owns the
+// run-wide state (port and NIC state, injection cursors, the live
+// topology) and coordinates the run; its shard views (views, see
+// parallel.go) alias that state and each add a private scheduler,
+// packet arena and statistics. Views are kept across runs, so a stream
+// of runs on one Network reuses their buffers.
 type Network struct {
 	cfg   Config
 	table *routing.Table
@@ -149,54 +148,70 @@ type Network struct {
 	dead []bool
 
 	// lats is the optional per-link wire-latency table (read-only once
-	// set; nil = the uniform Config.LinkLatency scalar, preserving the
-	// historical arithmetic bit for bit). Set per clone like dead.
+	// set; nil = the uniform Config.LinkLatency scalar). Set per clone
+	// like dead.
 	lats *LinkLatencies
 
 	// tenants is the optional multi-tenant workload configuration
 	// (read-only once set; nil = single-tenant run). Set per clone.
 	tenants *TenantConfig
 
-	// slotOf[r] maps neighbor router id to its port slot; built once in
-	// New, read-only afterwards (shared across clones).
-	slotOf []map[int32]int
+	// kways memoizes shard assignments per shard count (shared across
+	// clones of an instance, like the routing table).
+	kways *kwayCache
 
-	// ---- mutable per-run state (private to each clone) ----
+	// ---- run-wide state, aliased by the views (owner-only writes) ----
 
-	// Per-router output port state: portFree[r] maps neighbor-slot to
-	// the earliest cycle the port is idle. Slot i corresponds to
-	// Topo.Neighbors(r)[i].
+	// Per-router output port state: portFree[r][slot] is the earliest
+	// cycle the port toward Topo.Neighbors(r)[slot] is idle. A router's
+	// ports are written only by the view owning the router.
 	portFree [][]int64
-	// Injection and ejection port state per endpoint.
+	// Injection and ejection port state per endpoint, written only by
+	// the view owning the endpoint's router.
 	injFree []int64
 	ejFree  []int64
 
-	rng   *rand.Rand
-	sched scheduler
-	seq   int64
-
-	// tbl is this view's fast-path pointer to the live routing table of
-	// the current run: it starts as table and is re-synced from
-	// live.tbl at each applied topology change (serial: at the evTopo
-	// event; parallel: the coordinator re-points every shard's tbl at
-	// the barrier), so all per-run routing decisions go through tbl
-	// while table stays the pristine shared instance. With an empty
-	// schedule tbl == table for the whole run.
+	// tbl is the live routing table of the current run: it starts as
+	// table and is re-pointed at each applied topology change (applyTopo
+	// re-points every view's tbl while the views are parked), so all
+	// per-run routing decisions go through tbl while table stays the
+	// pristine shared instance. With an empty schedule tbl == table for
+	// the whole run.
 	tbl *routing.Table
 	// live is the run-local live topology of a scheduled run (nil with
 	// an empty schedule): the dead/down masks plus the live table,
-	// mutated only by applyTopo (schedule.go). In a parallel run every
-	// shard aliases the coordinator's live, which is written only at
-	// window barriers. dropRun counts every message lost after being
-	// offered — NIC-dead, unreachable, or severed in flight — so the
-	// conservation invariant Offered == Delivered + dropRun + in-flight
-	// holds at every instant of the run.
-	live    *liveTopo
-	dropRun int
+	// mutated only by applyTopo (schedule.go) while every view is
+	// parked.
+	live *liveTopo
 	// onTopo, when set, is called after each topology event is applied
-	// (test hook for boundary invariant checks).
-	onTopo func(now int64)
+	// (test hook for boundary invariant checks). onDeliver, when set, is
+	// called with every delivered message's latency (test hook; it runs
+	// on the delivering view's goroutine).
+	onTopo    func(now int64)
+	onDeliver func(lat int64)
 
+	// gens holds the per-endpoint streaming injection cursors of
+	// RunLoad (allocated once per instance, reseeded per run); each is
+	// advanced only by the view owning the endpoint's router.
+	gens     []epGen
+	pattern  PatternFunc
+	tpattern TimedPatternFunc
+	meanGap  float64
+
+	// stats is the folded result of the latest run (on a view: that
+	// view's share of the current run).
+	stats Stats
+
+	// views are the shard views of the current (or latest) run.
+	views []*Network
+	// par is the run context the views share: shard map, canonical-key
+	// layout and the occupancy peaks behind MemoryBytes.
+	par *parRun
+
+	// ---- view-private state (parallel.go) ----
+
+	shardID int32
+	sched   scheduler
 	// packets is the arena of in-flight messages: events reference
 	// packets by index, so the event queue carries no pointers. free
 	// lists the arena slots of delivered/dropped packets for reuse, so
@@ -204,55 +219,37 @@ type Network struct {
 	// the total message count of the run.
 	packets []packet
 	free    []int32
-
-	// gens holds the per-endpoint streaming injection cursors of
-	// RunLoad (allocated once per instance, reseeded per run).
-	gens     []epGen
-	pattern  PatternFunc
-	tpattern TimedPatternFunc
-	meanGap  float64
-
-	// lat folds per-message end-to-end latencies across drains of one
-	// run into a bounded digest (RunBatches pools rounds here).
-	lat latDigest
-
-	// tenStats/tenLat accumulate per-tenant counters and latency
-	// digests for the current run (nil unless tenants is set). A
-	// message belongs to its source endpoint's tenant.
-	tenStats []TenantStats
-	tenLat   []latDigest
-
-	stats Stats
-
-	// ---- sharded parallel engine state (parallel.go) ----
-
-	// par is non-nil only on the per-shard views of a parallel run; it
-	// carries the shared router-to-shard map and event-key layout.
-	par     *parRun
-	shardID int32
-	// parShards, on the coordinator Network of a parallel run, lists
-	// the shard views of the current (or just-finished) run so
-	// conservation can aggregate across them; nil on serial runs and
-	// on the shards themselves. Cleared by reset.
-	parShards []*Network
-	// out[s] collects the evArrive events this shard generated for
-	// routers owned by shard s during the current window (drained by s
-	// in the merge phase, reset by the owner at the next drain).
-	out [][]xmsg
-	// pktUID/pktRng shadow the packet arena in parallel mode: the
-	// canonical message id (the scheduler tie-break key) and the
-	// packet's private routing-RNG state. They live outside the packet
-	// struct so the serial engine's memory layout — and therefore its
-	// MemoryBytes accounting — is untouched.
+	// pktUID/pktRng shadow the packet arena: each packet's canonical
+	// message id (the scheduler tie-break key) and its private
+	// routing-RNG state.
 	pktUID []int64
 	pktRng []uint64
-	// parSrc is the scratch source behind rng on a shard: drainUntil
-	// loads the current packet's stream into it around each evArrive.
-	parSrc splitmix64
-
-	// kways memoizes KWay shard assignments per worker count (shared
-	// across clones of an instance, like the routing table).
-	kways *kwayCache
+	// rng draws routing randomness (next hops, Valiant intermediates)
+	// from pktSrc, which drainUntil loads with the current packet's
+	// stream around each arrival.
+	pktSrc splitmix64
+	rng    *rand.Rand
+	// lat folds the latencies this view delivered; tenStats/tenLat are
+	// the per-tenant counters and digests (nil unless tenants is set). A
+	// message belongs to its source endpoint's tenant.
+	lat      latDigest
+	tenStats []TenantStats
+	tenLat   []latDigest
+	// dropRun counts every message this view lost after it was offered
+	// — NIC-dead, unreachable, or severed in flight — so the
+	// conservation invariant Offered == Delivered + dropRun + in-flight
+	// holds, summed over views, at every barrier.
+	dropRun int
+	// out[s] collects the arrivals this view generated for routers owned
+	// by view s during the current window; outN counts them.
+	out  [][]xmsg
+	outN int
+	// Occupancy observation (MemoryBytes): obs is the latest cycle
+	// boundary observed, and occ[b-winStart-1] records boundary b of the
+	// current window on a multi-shard run.
+	obs      int64
+	winStart int64
+	occ      []occupancy
 }
 
 // packet is an in-flight message.
@@ -270,12 +267,11 @@ const (
 	evArrive  int8 = iota // packet arrives at a router
 	evDeliver             // packet delivered to its endpoint
 	evInject              // an endpoint's next streamed injection is due
-	evTopo                // a timed topology event fires (pkt = schedule index)
 )
 
 type event struct {
 	time int64
-	seq  int64 // tie-break for determinism
+	seq  int64 // canonical key: the tie-break among same-cycle events
 	at   int32 // router id (endpoint id for evDeliver/evInject)
 	kind int8
 	pkt  int32 // index into Network.packets (unused for evInject)
@@ -377,10 +373,12 @@ type Stats struct {
 	// and omitted from JSON, so single-tenant goldens are untouched —
 	// otherwise.
 	Tenants []TenantStats `json:",omitempty"`
-	// MemoryBytes is the run loop's steady-state working-set footprint
-	// at the end of the run: event scheduler + packet arena/freelist +
-	// latency digest + injection generators + port state. Capacities
-	// only grow within a run, so this equals the run's peak.
+	// MemoryBytes is the model's working set at its peak: pending
+	// events and in-flight packets at the fullest cycle boundary of the
+	// run, plus the latency digests, injection generators, port and NIC
+	// state (see Network.MemoryBytes). It is a function of the simulated
+	// schedule alone, so like every other field it is identical for
+	// every Workers value.
 	MemoryBytes int64
 }
 
@@ -415,29 +413,19 @@ func New(cfg Config, table *routing.Table) (*Network, error) {
 	if err := cfg.Schedule.Validate(cfg.Topo); err != nil {
 		return nil, fmt.Errorf("simnet: %w", err)
 	}
-	nw := &Network{
-		cfg:    cfg,
-		table:  table,
-		n:      n,
-		nep:    n * cfg.Concentration,
-		dead:   cfg.DeadRouters,
-		slotOf: make([]map[int32]int, n),
-		kways:  &kwayCache{},
-	}
-	for r := 0; r < n; r++ {
-		nb := cfg.Topo.Neighbors(r)
-		m := make(map[int32]int, len(nb))
-		for i, w := range nb {
-			m[w] = i
-		}
-		nw.slotOf[r] = m
-	}
-	return nw, nil
+	return &Network{
+		cfg:   cfg,
+		table: table,
+		n:     n,
+		nep:   n * cfg.Concentration,
+		dead:  cfg.DeadRouters,
+		kways: &kwayCache{},
+	}, nil
 }
 
 // Clone returns an independent simulation instance over the same
 // topology and configuration. The immutable half (topology, routing
-// table, port maps) is shared read-only; all run state is private, so
+// table, shard maps) is shared read-only; all run state is private, so
 // clones may run concurrently with each other and with the receiver.
 // Use SetPolicy/SetSeed to vary the per-run configuration of a clone.
 func (nw *Network) Clone() *Network {
@@ -449,7 +437,6 @@ func (nw *Network) Clone() *Network {
 		dead:    nw.dead,
 		lats:    nw.lats,
 		tenants: nw.tenants,
-		slotOf:  nw.slotOf,
 		kways:   nw.kways,
 	}
 }
@@ -460,8 +447,8 @@ func (nw *Network) SetPolicy(p routing.Policy) { nw.cfg.Policy = p }
 // SetSeed overrides the random seed for subsequent runs.
 func (nw *Network) SetSeed(s int64) { nw.cfg.Seed = s }
 
-// SetWorkers overrides the RunLoad engine selection for subsequent
-// runs (see Config.Workers).
+// SetWorkers overrides the shard count of subsequent runs (see
+// Config.Workers); it changes wall-clock time, never results.
 func (nw *Network) SetWorkers(w int) { nw.cfg.Workers = w }
 
 // SetDeadRouters overrides the failed-router mask for subsequent runs
@@ -564,45 +551,66 @@ func (nw *Network) routerOf(ep int32) int32 {
 	return ep / int32(nw.cfg.Concentration)
 }
 
+// reset prepares the run-wide state of a new run: idle ports and NICs
+// (reusing the previous run's arrays), the pristine routing table, a
+// fresh live topology for a scheduled run, and empty statistics.
 func (nw *Network) reset() {
-	n := nw.n
-	nw.portFree = make([][]int64, n)
-	for r := 0; r < n; r++ {
-		nw.portFree[r] = make([]int64, nw.cfg.Topo.Degree(r))
+	if nw.portFree == nil {
+		nw.portFree = make([][]int64, nw.n)
+		for r := range nw.portFree {
+			nw.portFree[r] = make([]int64, nw.cfg.Topo.Degree(r))
+		}
+		nw.injFree = make([]int64, nw.nep)
+		nw.ejFree = make([]int64, nw.nep)
+	} else {
+		for _, pf := range nw.portFree {
+			clear(pf)
+		}
+		clear(nw.injFree)
+		clear(nw.ejFree)
 	}
-	nw.injFree = make([]int64, nw.nep)
-	nw.ejFree = make([]int64, nw.nep)
-	nw.rng = rand.New(rand.NewSource(nw.cfg.Seed + 1))
-	nw.sched.reset()
-	nw.seq = 0
-	nw.packets = nw.packets[:0]
-	nw.free = nw.free[:0]
+	if nw.rng == nil {
+		nw.rng = rand.New(&nw.pktSrc)
+	}
 	nw.pattern = nil
 	nw.tpattern = nil
 	nw.tbl = nw.table
-	nw.dropRun = 0
-	nw.parShards = nil
+	nw.live = nil
 	if len(nw.cfg.Schedule) > 0 {
 		nw.live = newLiveTopo(nw.cfg.Schedule, nw)
-	} else {
-		nw.live = nil
 	}
-	limit := nw.cfg.LatencySampleCap
-	if limit <= 0 {
-		limit = defaultLatencySampleCap
-	}
-	nw.lat.reset(nw.cfg.Seed, limit)
-	nw.resetTenants(limit)
 	nw.stats = Stats{}
 }
 
+// push queues an event on this view, stamping its canonical key:
+// srcEP·msgs + draw index for packet events (the packet's uid), the
+// same form offset past the packet range for injection-cursor events.
+// An arrival at a router another view owns goes to that view's outbox
+// instead, together with the packet and its routing stream. Injection
+// arrivals (NIC -> source router) and deliveries (router -> local
+// endpoint) are local by construction; only router-to-router hops can
+// cross views.
 func (nw *Network) push(e event) {
-	if nw.par != nil {
-		nw.pushPar(e)
-		return
+	switch e.kind {
+	case evInject:
+		// The initial seeding pushes with left = msgs, fireInjection after
+		// decrementing left: either way the event is draw number msgs-left
+		// of endpoint e.at.
+		e.seq = nw.par.injBase + int64(e.at)*nw.par.msgs + (nw.par.msgs - int64(nw.gens[e.at].left))
+	case evArrive:
+		e.seq = nw.pktUID[e.pkt]
+		if s := nw.par.shardOf[e.at]; s != nw.shardID {
+			// pktSrc holds this packet's routing stream: drainUntil loaded it
+			// for the event being processed, and arriveAtRouter consumed its
+			// draws before pushing.
+			nw.out[s] = append(nw.out[s], xmsg{e: e, p: nw.packets[e.pkt], uid: nw.pktUID[e.pkt], rng: nw.pktSrc.state})
+			nw.outN++
+			nw.freePacket(e.pkt)
+			return
+		}
+	case evDeliver:
+		e.seq = nw.pktUID[e.pkt]
 	}
-	e.seq = nw.seq
-	nw.seq++
 	nw.sched.push(e)
 }
 
@@ -642,7 +650,7 @@ func (nw *Network) inject(pi int32, now int64) {
 // draw this message's destination, schedule the endpoint's next
 // arrival (keeping exactly one pending injection event per endpoint),
 // and inject the packet. All draws come from the endpoint's private
-// RNG, so the global event interleaving cannot perturb any endpoint's
+// RNG, so the event interleaving cannot perturb any endpoint's
 // workload stream.
 func (nw *Network) fireInjection(ep int32, now int64) {
 	g := &nw.gens[ep]
@@ -676,11 +684,8 @@ func (nw *Network) fireInjection(ep int32, now int64) {
 			interm:    -2, // routing decision pending
 			created:   now,
 		})
-		if nw.par != nil {
-			// g.left was already decremented: this is draw msgs-left-1.
-			uid := int64(ep)*nw.par.msgs + (nw.par.msgs - int64(g.left) - 1)
-			nw.setPktMeta(pi, uid, mixSeed(nw.cfg.Seed, int64(nw.nep)+uid))
-		}
+		// g.left was already decremented: this is draw msgs-left-1.
+		nw.newStream(pi, int64(ep)*nw.par.msgs+(nw.par.msgs-int64(g.left)-1))
 		nw.inject(pi, now)
 	}
 }
@@ -749,15 +754,15 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 			p.phase = 1
 			return
 		}
-		minHop := nw.tbl.NextHopRandom(int(r), int(p.dstRouter), nw.rng)
-		valHop := nw.tbl.NextHopRandom(int(r), int(interm), nw.rng)
-		if minHop < 0 || valHop < 0 {
+		minSlot := nw.nextSlot(r, p.dstRouter)
+		valSlot := nw.nextSlot(r, interm)
+		if minSlot < 0 || valSlot < 0 {
 			p.interm = -1
 			p.phase = 1
 			return
 		}
-		qMin := nw.portBacklog(r, minHop, now)
-		qVal := nw.portBacklog(r, valHop, now)
+		qMin := nw.portBacklog(r, minSlot, now)
+		qVal := nw.portBacklog(r, valSlot, now)
 		hMin := int64(nw.tbl.HopDist(int(r), int(p.dstRouter)))
 		hVal := int64(nw.tbl.HopDist(int(r), int(interm))) +
 			int64(nw.tbl.HopDist(int(interm), int(p.dstRouter)))
@@ -804,32 +809,45 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 // serialization along it — the global channel-state estimate UGAL-G is
 // allowed to use.
 func (nw *Network) pathCost(src, dst int, now int64) (int64, bool) {
-	if src == dst {
-		return 0, true
-	}
 	var cost int64
-	v := src
-	for v != dst {
-		next := nw.tbl.NextHopRandom(v, dst, nw.rng)
-		if next < 0 {
+	for v := int32(src); v != int32(dst); {
+		slot := nw.nextSlot(v, int32(dst))
+		if slot < 0 {
 			return 0, false
 		}
-		cost += nw.portBacklog(int32(v), next, now) + nw.cfg.PacketFlits
-		v = int(next)
+		cost += nw.portBacklog(v, slot, now) + nw.cfg.PacketFlits
+		v = nw.cfg.Topo.Neighbors(int(v))[slot]
 	}
 	return cost, true
 }
 
-// portBacklog returns the queueing delay (cycles) a packet would face
-// on the output port from router r to neighbor nb — the "local queue
-// length" information UGAL-L is allowed to use.
-func (nw *Network) portBacklog(r, nb int32, now int64) int64 {
-	slot := nw.slotOf[r][nb]
-	b := nw.portFree[r][slot] - now
-	if b < 0 {
-		return 0
+// nextSlot draws the port slot of a uniformly random shortest-path next
+// hop from r toward dest on the live table, or -1 when dest is
+// unreachable. Slots index cfg.Topo.Neighbors(r). After a scheduled
+// change the live table routes over the base topology minus the down
+// links, whose neighbor lists are subsequences of the base ones, so its
+// slot is translated back by a binary search (a cold path: static runs
+// never take it).
+func (nw *Network) nextSlot(r, dest int32) int {
+	slot := nw.tbl.NextSlotRandom(int(r), int(dest), nw.rng)
+	if slot < 0 || nw.tbl == nw.table {
+		return slot
 	}
-	return b
+	return portSlot(nw.cfg.Topo, r, nw.tbl.G.Neighbors(int(r))[slot])
+}
+
+// portSlot returns the port slot of router r facing neighbor w: w's
+// index in r's sorted neighbor list.
+func portSlot(g *graph.Graph, r, w int32) int {
+	slot, _ := slices.BinarySearch(g.Neighbors(int(r)), w)
+	return slot
+}
+
+// portBacklog returns the queueing delay (cycles) a packet would face
+// on router r's output port slot — the "local queue length"
+// information UGAL-L is allowed to use.
+func (nw *Network) portBacklog(r int32, slot int, now int64) int64 {
+	return max(nw.portFree[r][slot]-now, 0)
 }
 
 // arriveAtRouter routes a packet one hop further. from identifies the
@@ -852,15 +870,14 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 		nw.push(event{time: deliver, at: p.dstEP, kind: evDeliver, pkt: pi})
 		return
 	}
-	target := p.routeTarget()
-	next := nw.tbl.NextHopRandom(int(r), int(target), nw.rng)
-	if next < 0 {
+	slot := nw.nextSlot(r, p.routeTarget())
+	if slot < 0 {
 		// Unreachable (only possible on damaged topologies): drop.
 		nw.freePacket(pi)
 		nw.dropRun++
 		return
 	}
-	slot := nw.slotOf[r][next]
+	next := nw.cfg.Topo.Neighbors(int(r))[slot]
 	admit := now
 	if nw.cfg.BufferPackets > 0 {
 		// Queue admission: wait until the output queue drains below its
@@ -889,29 +906,9 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 	nw.push(event{time: arrive, at: next, kind: evArrive, pkt: pi, fromR: r, fromSlot: int32(slot)})
 }
 
-// drain runs the event loop to completion, collecting statistics.
-// Latencies observed during this drain fold into nw.lat (so
-// multi-round runs can pool them). When segStats is true the
-// mean/percentile statistics are finalized over the digest — RunLoad's
-// single drain owns the whole run; batch runs pass false and compute
-// them once over the pooled digest instead.
-func (nw *Network) drain(segStats bool) {
-	for nw.sched.count > 0 {
-		nw.handle(nw.sched.pop())
-	}
-	if segStats && nw.lat.count > 0 {
-		nw.stats.MeanLatency = nw.lat.mean()
-		nw.stats.MeanHops = float64(nw.stats.TotalHops) / float64(nw.lat.count)
-		nw.stats.P99Latency = nw.lat.quantile(0.99)
-	}
-}
-
-// handle dispatches one event — the body of the event loop, shared
-// verbatim by the serial drain and the parallel shards' drainUntil.
+// handle dispatches one event — the body of drainUntil's event loop.
 func (nw *Network) handle(e event) {
 	switch e.kind {
-	case evTopo:
-		nw.applyTopo(int(e.pkt), e.time)
 	case evInject:
 		nw.fireInjection(e.at, e.time)
 	case evArrive:
@@ -945,6 +942,9 @@ func (nw *Network) handle(e event) {
 		}
 		lat := e.time - p.created
 		nw.lat.add(lat)
+		if nw.onDeliver != nil {
+			nw.onDeliver(lat)
+		}
 		nw.stats.Delivered++
 		nw.tenDelivered(p.srcEP, lat)
 		if lat > nw.stats.MaxLatency {
@@ -961,63 +961,47 @@ func (nw *Network) handle(e event) {
 	}
 }
 
-// percentile sorts v in place and returns the nearest-rank p-quantile
-// (the ⌈p·n⌉-th smallest value), or 0 for an empty slice (a run that
-// delivered nothing — fully dead or partitioned network — has no tail
-// to report). Nearest-rank never reports below the requested quantile:
-// the old floor(p·(n-1)) index did (n=50, p=0.99 picked element 48,
-// ≈P96). Callers own their latency slices, so sorting in place
-// replaces the old copy-then-sort per call.
-func percentile(v []int64, p float64) int64 {
-	if len(v) == 0 {
-		return 0
-	}
-	slices.Sort(v)
-	idx := int(math.Ceil(p*float64(len(v)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(v) {
-		idx = len(v) - 1
-	}
-	return v[idx]
-}
-
-// MemoryBytes reports the run loop's working-set footprint for the
-// current (or just-finished) run: the event scheduler's high-water
-// mark, the packet arena and its freelist, the latency digest, the
-// injection generators, and the per-port state. The accounting is
-// length-based — lengths are a pure function of the run, so the value
-// is identical whether the Network is fresh, cloned, or reused — and
-// every component's length is at its run peak when the drain
-// completes, so Stats.MemoryBytes records the run's peak working set.
+// MemoryBytes reports the working set of the latest run's model: the
+// pending events and in-flight packets (with their canonical-id and
+// RNG sidecars and freelist entries) at the fullest cycle boundary of
+// the run, one calendar wheel, the latency digests, the injection
+// generators, the port and NIC state, and a scheduled run's live
+// topology. Every term is a function of the simulated schedule alone —
+// the occupancy peaks sum the views' counts boundary by boundary, the
+// digests are folded — so the value is identical for every Workers
+// value and for fresh, cloned and reused instances. (A run on P shards
+// additionally holds P-1 more wheels and per-shard arena slack; that is
+// the engine's cost, not the model's, and is not charged.) The
+// lazy-table backend's live table is the exception: its resident set
+// depends on access order.
 func (nw *Network) MemoryBytes() int64 {
-	b := nw.sched.memoryBytes()
-	b += int64(len(nw.packets)) * int64(unsafe.Sizeof(packet{}))
-	b += int64(len(nw.free)) * 4
-	b += nw.lat.memoryBytes()
+	if nw.par == nil {
+		return 0 // no run yet
+	}
+	const pktBytes = int64(unsafe.Sizeof(packet{})) + 4 + 16 // + freelist entry, uid and rng sidecars
+	b := int64(nw.par.peak.events)*int64(unsafe.Sizeof(event{})) + wheelBytes
+	b += int64(nw.par.peak.packets) * pktBytes
+	v0 := nw.views[0] // holds the folded digests after fold
+	b += v0.lat.memoryBytes()
+	for t := range v0.tenLat {
+		b += v0.tenLat[t].memoryBytes()
+	}
+	b += int64(len(v0.tenStats)) * int64(unsafe.Sizeof(TenantStats{}))
 	if nw.pattern != nil || nw.tpattern != nil {
 		// Streaming (RunLoad) runs use the injection generators: each
 		// carries a two-word source plus one heap-allocated rand.Rand
 		// wrapper (~48 B). Batch runs don't, so generators retained from
 		// an earlier RunLoad on a reused instance are not charged to
-		// them — the value stays a pure function of the run.
+		// them.
 		b += int64(len(nw.gens)) * (int64(unsafe.Sizeof(epGen{})) + 48)
 	}
 	for _, pf := range nw.portFree {
 		b += int64(len(pf)) * 8
 	}
 	b += int64(len(nw.injFree)+len(nw.ejFree)) * 8
-	// Live-topology state of a scheduled run (nil otherwise, so static
-	// runs' accounting is untouched): the masks plus the run-local
-	// table Repair/Restore built. The lazy table backend's footprint
-	// depends on access order, so with it a scheduled run's
-	// MemoryBytes is engine- and worker-count-dependent; dense and
-	// packed stay run-deterministic.
 	if nw.live != nil {
 		b += nw.live.memoryBytes(nw.table)
 	}
-	b += nw.memoryBytesTenants()
 	return b
 }
 
@@ -1047,44 +1031,29 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 // shifts phase every P cycles while the fabric rewires underneath it).
 type TimedPatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
-// RunLoadTimed is RunLoad for a time-varying traffic pattern. It runs
-// on whichever engine Workers selects: event times are exact in both
-// engines and every destination draw comes from the endpoint's
-// private stream at the injection's cycle, so a timed pattern sees
-// the same (endpoint, cycle) sequence either way.
+// RunLoadTimed is RunLoad for a time-varying traffic pattern. Event
+// times are exact and every destination draw comes from the endpoint's
+// private stream at the injection's cycle, so a timed pattern sees the
+// same (endpoint, cycle) sequence for every Workers value.
 func (nw *Network) RunLoadTimed(pattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
 	return nw.runLoad(nil, pattern, load, msgsPerEP)
 }
 
-// runLoad is the shared engine dispatch of RunLoad and RunLoadTimed:
-// exactly one of pattern/tpattern is non-nil.
+// runLoad is the shared body of RunLoad and RunLoadTimed (exactly one
+// of pattern/tpattern is non-nil): seed the per-endpoint injection
+// streams on the views owning them, run, fold.
 func (nw *Network) runLoad(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
 	if load <= 0 || load > 1 {
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
-	if w := nw.parWorkers(); w > 1 {
-		return nw.runLoadParallel(pattern, tpattern, load, msgsPerEP, w)
-	}
 	nw.reset()
 	nw.pattern = pattern
 	nw.tpattern = tpattern
-	return nw.runLoadSerial(load, msgsPerEP)
-}
-
-// runLoadSerial is the serial body of RunLoad and RunLoadTimed after
-// reset and pattern selection: seed the schedule's topology events and
-// the per-endpoint injection streams, drain, finalize.
-func (nw *Network) runLoadSerial(load float64, msgsPerEP int) Stats {
-	// Seed topology events before any injection: push order breaks
-	// same-cycle ties, so a change at cycle c applies before traffic
-	// scheduled for cycle c routes.
-	for ci := range nw.cfg.Schedule {
-		nw.push(event{time: nw.cfg.Schedule[ci].Cycle, kind: evTopo, pkt: int32(ci)})
-	}
 	nw.meanGap = float64(nw.cfg.PacketFlits) / load
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
+	views := nw.begin(int64(msgsPerEP))
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
 		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
@@ -1094,14 +1063,12 @@ func (nw *Network) runLoadSerial(load float64, msgsPerEP int) Stats {
 		g.t = 0
 		g.left = msgsPerEP
 		if msgsPerEP > 0 {
-			nw.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
+			v := views[nw.par.shardOf[nw.routerOf(int32(ep))]]
+			v.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
 		}
 	}
-	nw.drain(true)
-	nw.stats.Dropped = nw.stats.Offered - nw.stats.Delivered
-	nw.stats.Tenants = nw.finalizeTenants()
-	nw.stats.MemoryBytes = nw.MemoryBytes()
-	return nw.stats
+	nw.drive(nw.cfg.Schedule.Cursor())
+	return nw.fold()
 }
 
 // SaturationLoad estimates the saturation point of the network under a
@@ -1158,82 +1125,62 @@ type Message struct {
 // synchronization of the motif's communication phases). Returned
 // Makespan spans all rounds; MeanLatency is the delivered-weighted mean
 // over every round and P99Latency is the percentile of the pooled
-// per-message latencies. It returns an error on an instance with a
-// topology-event schedule: a motif round has no global clock the
-// schedule could be pinned to (each round restarts at the previous
-// drain point), so timed topology events are meaningless here.
+// per-message latencies. Rounds run on the same engine as RunLoad: a
+// message's canonical id is its index in the run's message sequence,
+// so results are identical for every Workers value. It returns an
+// error on an instance with a topology-event schedule: a motif round
+// has no global clock the schedule could be pinned to (each round
+// restarts at the previous drain point), so timed topology events are
+// meaningless here.
 func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 	if len(nw.cfg.Schedule) > 0 {
 		return Stats{}, fmt.Errorf("simnet: RunBatches does not support a topology-event schedule")
 	}
 	nw.reset()
-	var clock int64
-	agg := Stats{}
+	views := nw.begin(0)
+	var clock, uid int64
+	skips := 0
 	for _, round := range rounds {
 		for _, m := range round {
+			uid++
 			if m.SrcEP == m.DstEP || m.DstEP < 0 || m.DstEP >= nw.nep {
-				agg.PatternSkips++
+				skips++
 				continue
 			}
-			agg.Offered++
-			nw.tenOffered(int32(m.SrcEP))
-			if nw.isDead(nw.routerOf(int32(m.SrcEP))) || nw.isDead(nw.routerOf(int32(m.DstEP))) {
-				nw.dropRun++
+			src, dst := int32(m.SrcEP), int32(m.DstEP)
+			v := views[nw.par.shardOf[nw.routerOf(src)]]
+			v.stats.Offered++
+			v.tenOffered(src)
+			if nw.isDead(nw.routerOf(src)) || nw.isDead(nw.routerOf(dst)) {
+				v.dropRun++
 				continue
 			}
-			pi := nw.newPacket(packet{
-				srcEP:     int32(m.SrcEP),
-				dstEP:     int32(m.DstEP),
-				dstRouter: nw.routerOf(int32(m.DstEP)),
+			pi := v.newPacket(packet{
+				srcEP:     src,
+				dstEP:     dst,
+				dstRouter: nw.routerOf(dst),
 				interm:    -2,
 				created:   clock,
 			})
-			nw.inject(pi, clock)
+			v.newStream(pi, uid-1)
+			v.inject(pi, clock)
 		}
-		nw.drain(false)
-		agg.Delivered += nw.stats.Delivered
-		agg.TotalHops += nw.stats.TotalHops
-		agg.ValiantTaken += nw.stats.ValiantTaken
-		if nw.stats.MaxLatency > agg.MaxLatency {
-			agg.MaxLatency = nw.stats.MaxLatency
-		}
-		if nw.stats.MaxVC > agg.MaxVC {
-			agg.MaxVC = nw.stats.MaxVC
-		}
-		if nw.stats.Makespan > clock {
-			clock = nw.stats.Makespan
+		nw.drive(nw.cfg.Schedule.Cursor()) // empty: checked above
+		for _, v := range views {
+			clock = max(clock, v.stats.Makespan)
 		}
 		// Port/NIC state carries over naturally; subsequent rounds start
 		// after the drain point.
 		for r := range nw.portFree {
 			for i := range nw.portFree[r] {
-				if nw.portFree[r][i] < clock {
-					nw.portFree[r][i] = clock
-				}
+				nw.portFree[r][i] = max(nw.portFree[r][i], clock)
 			}
 		}
 		for i := range nw.injFree {
-			if nw.injFree[i] < clock {
-				nw.injFree[i] = clock
-			}
-			if nw.ejFree[i] < clock {
-				nw.ejFree[i] = clock
-			}
+			nw.injFree[i] = max(nw.injFree[i], clock)
+			nw.ejFree[i] = max(nw.ejFree[i], clock)
 		}
-		nw.stats = Stats{}
 	}
-	agg.Makespan = clock
-	agg.Dropped = agg.Offered - agg.Delivered
-	if agg.Delivered > 0 {
-		agg.MeanHops = float64(agg.TotalHops) / float64(agg.Delivered)
-		// Pool the per-round latencies: delivered-weighted mean and the
-		// percentile of the combined digest (per-round drains only fold
-		// their own deliveries, so without this the aggregate mean/P99
-		// of a motif run would read 0).
-		agg.MeanLatency = nw.lat.mean()
-		agg.P99Latency = nw.lat.quantile(0.99)
-	}
-	agg.Tenants = nw.finalizeTenants()
-	agg.MemoryBytes = nw.MemoryBytes()
-	return agg, nil
+	views[0].stats.PatternSkips += skips
+	return nw.fold(), nil
 }

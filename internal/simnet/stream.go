@@ -1,6 +1,10 @@
 package simnet
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+	"slices"
+)
 
 // splitmix64 is a tiny deterministic rand.Source64 (Steele et al.'s
 // SplitMix64 finalizer). Every endpoint generator carries one, so the
@@ -59,67 +63,83 @@ func (g *epGen) next(meanGap float64) int64 {
 	return int64(g.t + 0.5)
 }
 
-// defaultLatencySampleCap bounds the per-run latency sample when
-// Config.LatencySampleCap is zero: 64 KB per run, exact quantiles for
-// every run that delivers up to 8192 messages.
-const defaultLatencySampleCap = 8192
-
-// latDigest is the bounded latency statistic behind
-// MeanLatency/P99Latency: mean and max fold in O(1) state, and the
-// quantile keeps every sample exactly up to limit, then degrades to a
-// deterministic uniform reservoir (Vitter's Algorithm R with a private
-// seeded RNG). nw.latencies used to retain every delivery of a run —
-// O(total offered traffic); the digest retains O(limit).
+// latDigest is the exact latency statistic behind MeanLatency and
+// P99Latency: a count per integer latency (in cycles), grown on demand
+// to the largest latency seen, plus the exact count and sum. Digests
+// fold by summation, so the statistics of any partition of a run's
+// deliveries — per shard, per tenant — combine into exactly the
+// statistics of the whole, and the quantile is the exact nearest-rank
+// quantile over every delivery. Memory is O(largest latency), not
+// O(deliveries).
 type latDigest struct {
-	count   int64
-	sum     float64
-	limit   int
-	samples []int64
-	src     splitmix64
-	rng     *rand.Rand
+	counts []int64 // counts[v] = deliveries with latency v; entries past len are zero
+	count  int64
+	sum    int64
 }
 
-func (d *latDigest) reset(seed int64, limit int) {
+// reset empties the digest, keeping its capacity.
+func (d *latDigest) reset() {
+	clear(d.counts)
+	d.counts = d.counts[:0]
 	d.count, d.sum = 0, 0
-	d.limit = limit
-	d.samples = d.samples[:0]
-	d.src.state = mixSeed(seed, -2)
-	if d.rng == nil {
-		d.rng = rand.New(&d.src)
-	}
 }
 
 func (d *latDigest) add(v int64) {
+	if v >= int64(len(d.counts)) {
+		d.grow(v + 1)
+	}
+	d.counts[v]++
 	d.count++
-	d.sum += float64(v)
-	if len(d.samples) < d.limit {
-		d.samples = append(d.samples, v)
-		return
-	}
-	// Reservoir replacement keeps the sample uniform over all d.count
-	// values seen; correctness does not depend on sample order, so the
-	// in-place sort of quantile() is harmless.
-	if j := d.rng.Int63n(d.count); j < int64(len(d.samples)) {
-		d.samples[j] = v
-	}
+	d.sum += v
 }
 
-// mean returns the exact mean over every value added.
+// grow extends counts to length n. Capacity past len is kept zero
+// (reset clears what it releases, and fresh backing arrays are
+// zeroed), so extending within capacity needs no clearing.
+func (d *latDigest) grow(n int64) {
+	d.counts = slices.Grow(d.counts, int(n)-len(d.counts))[:n]
+}
+
+// merge adds every delivery of o to d.
+func (d *latDigest) merge(o *latDigest) {
+	if len(o.counts) > len(d.counts) {
+		d.grow(int64(len(o.counts)))
+	}
+	for v, c := range o.counts {
+		d.counts[v] += c
+	}
+	d.count += o.count
+	d.sum += o.sum
+}
+
+// mean returns the exact mean latency (0 when empty).
 func (d *latDigest) mean() float64 {
 	if d.count == 0 {
 		return 0
 	}
-	return d.sum / float64(d.count)
+	return float64(d.sum) / float64(d.count)
 }
 
-// quantile returns the p-quantile of the retained sample: exact while
-// the run delivered ≤ limit messages, a reservoir estimate beyond.
+// quantile returns the nearest-rank p-quantile — the ⌈p·n⌉-th smallest
+// latency — or 0 when empty (a run that delivered nothing has no tail
+// to report). Nearest rank never reports below the requested quantile.
 func (d *latDigest) quantile(p float64) int64 {
-	return percentile(d.samples, p)
+	if d.count == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(p * float64(d.count)))
+	rank = min(max(rank, 1), d.count)
+	var cum int64
+	for v, c := range d.counts {
+		if cum += c; cum >= rank {
+			return int64(v)
+		}
+	}
+	return int64(len(d.counts) - 1)
 }
 
-// memoryBytes reports the digest's retained sample footprint
-// (length-based, like the rest of the MemoryBytes accounting).
+// memoryBytes reports the digest's footprint (length-based, like the
+// rest of the MemoryBytes accounting).
 func (d *latDigest) memoryBytes() int64 {
-	return int64(len(d.samples)) * 8
+	return int64(len(d.counts)) * 8
 }

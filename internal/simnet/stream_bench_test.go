@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -17,8 +16,8 @@ import (
 // only) as the measured baseline for the streaming loop's memory and
 // throughput gates; workload draws come from the same per-endpoint
 // generators, so the two loops process statistically identical
-// traffic (event tie-breaking order differs, so the stats need not be
-// bit-identical).
+// traffic (arrivals are not paced by injection events, so the stats
+// need not be bit-identical). The instance must run on one shard.
 func preallocRunLoad(nw *Network, pattern PatternFunc, load float64, msgsPerEP int) Stats {
 	nw.reset()
 	nw.pattern = pattern
@@ -26,6 +25,7 @@ func preallocRunLoad(nw *Network, pattern PatternFunc, load float64, msgsPerEP i
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
+	v := nw.begin(int64(msgsPerEP))[0]
 	for ep := 0; ep < nw.nep; ep++ {
 		g := &nw.gens[ep]
 		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
@@ -39,36 +39,34 @@ func preallocRunLoad(nw *Network, pattern PatternFunc, load float64, msgsPerEP i
 			if dst == ep || dst < 0 || dst >= nw.nep {
 				continue
 			}
-			nw.stats.Offered++
+			v.stats.Offered++
 			if nw.isDead(nw.routerOf(int32(ep))) || nw.isDead(nw.routerOf(int32(dst))) {
+				v.dropRun++
 				continue
 			}
-			pi := nw.newPacket(packet{
+			pi := v.newPacket(packet{
 				srcEP:     int32(ep),
 				dstEP:     int32(dst),
 				dstRouter: nw.routerOf(int32(dst)),
 				interm:    -2,
 				created:   at,
 			})
-			nw.inject(pi, at)
+			v.newStream(pi, int64(ep*msgsPerEP+m))
+			v.inject(pi, at)
 		}
 	}
-	nw.drain(true)
-	nw.stats.Dropped = nw.stats.Offered - nw.stats.Delivered
-	nw.stats.MemoryBytes = nw.MemoryBytes()
-	return nw.stats
+	nw.drive(nw.cfg.Schedule.Cursor())
+	return nw.fold()
 }
 
 // class1StreamNet builds the class-1 gate instance: LPS(11,7) with
 // concentration 4 (672 endpoints), the size of the Quick-scale sweep
-// topologies. latCap 0 selects the bounded default; the prealloc
-// baseline passes an effectively unbounded cap to model the old
-// retain-every-latency store.
-func class1StreamNet(tb testing.TB, latCap int) *Network {
+// topologies.
+func class1StreamNet(tb testing.TB) *Network {
 	tb.Helper()
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 4, Seed: 11, LatencySampleCap: latCap}, tab)
+	nw, err := New(Config{Topo: inst.G, Concentration: 4, Seed: 11}, tab)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -91,9 +89,9 @@ func uniformPattern(nep int) PatternFunc {
 // run up front. Memory accounting is deterministic, so the gate always
 // arms (no env guard).
 func TestRunLoadStreamMemoryGate(t *testing.T) {
-	stream := class1StreamNet(t, 0)
+	stream := class1StreamNet(t)
 	st := stream.RunLoad(uniformPattern(stream.Endpoints()), streamGateLoad, streamGateMsgs)
-	legacy := class1StreamNet(t, math.MaxInt32)
+	legacy := class1StreamNet(t)
 	lt := preallocRunLoad(legacy, uniformPattern(legacy.Endpoints()), streamGateLoad, streamGateMsgs)
 	if st.Delivered == 0 || lt.Delivered == 0 {
 		t.Fatalf("idle gate run: stream %d, prealloc %d delivered", st.Delivered, lt.Delivered)
@@ -117,8 +115,8 @@ func TestRunLoadStreamTimeGate(t *testing.T) {
 	if os.Getenv("SPECTRALFLY_BENCH_GATE") == "" {
 		t.Skip("timing gate armed only with SPECTRALFLY_BENCH_GATE=1")
 	}
-	stream := class1StreamNet(t, 0)
-	legacy := class1StreamNet(t, math.MaxInt32)
+	stream := class1StreamNet(t)
+	legacy := class1StreamNet(t)
 	patS := uniformPattern(stream.Endpoints())
 	patL := uniformPattern(legacy.Endpoints())
 	const reps = 5
@@ -148,7 +146,7 @@ func TestRunLoadStreamTimeGate(t *testing.T) {
 // set alongside ns/op.
 func BenchmarkRunLoadStream(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
-		nw := class1StreamNet(b, 0)
+		nw := class1StreamNet(b)
 		pattern := uniformPattern(nw.Endpoints())
 		var st Stats
 		for i := 0; i < b.N; i++ {
@@ -157,7 +155,7 @@ func BenchmarkRunLoadStream(b *testing.B) {
 		b.ReportMetric(float64(st.MemoryBytes), "mem-bytes")
 	})
 	b.Run("prealloc", func(b *testing.B) {
-		nw := class1StreamNet(b, math.MaxInt32)
+		nw := class1StreamNet(b)
 		pattern := uniformPattern(nw.Endpoints())
 		var st Stats
 		for i := 0; i < b.N; i++ {

@@ -3,7 +3,10 @@ package simnet
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -22,6 +25,16 @@ func refPercentile(v []int64, p float64) int64 {
 		}
 	}
 	return s[len(s)-1]
+}
+
+// percentile is the nearest-rank p-quantile of v through the latency
+// digest, the statistic behind P99Latency.
+func percentile(v []int64, p float64) int64 {
+	var d latDigest
+	for _, x := range v {
+		d.add(x)
+	}
+	return d.quantile(p)
 }
 
 // TestPercentileNearestRank is the regression test for the truncated
@@ -49,6 +62,38 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if got := percentile(v, 0.99); got != 49 {
 		t.Errorf("P99 of 0..49 = %d, want 49 (nearest rank)", got)
+	}
+}
+
+// TestP99IsNearestRankOverAllDeliveries: P99Latency is the exact
+// nearest-rank quantile over every delivery of the run — no sample
+// cap, no estimate — and MeanLatency the exact mean, however many
+// shards delivered them.
+func TestP99IsNearestRankOverAllDeliveries(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		nw := class1StreamNet(t)
+		nw.SetWorkers(w)
+		var mu sync.Mutex
+		var lats []int64
+		nw.onDeliver = func(lat int64) {
+			mu.Lock()
+			lats = append(lats, lat)
+			mu.Unlock()
+		}
+		st := nw.RunLoad(uniformPattern(nw.Endpoints()), streamGateLoad, 32)
+		if st.Delivered <= 8192 || len(lats) != st.Delivered {
+			t.Fatalf("workers=%d: %d deliveries, hook saw %d; want > 8192, all observed", w, st.Delivered, len(lats))
+		}
+		if want := refPercentile(lats, 0.99); st.P99Latency != want {
+			t.Errorf("workers=%d: P99 %d, nearest-rank over all deliveries %d", w, st.P99Latency, want)
+		}
+		var sum int64
+		for _, l := range lats {
+			sum += l
+		}
+		if want := float64(sum) / float64(len(lats)); st.MeanLatency != want {
+			t.Errorf("workers=%d: mean %v, exact %v", w, st.MeanLatency, want)
+		}
 	}
 }
 
@@ -133,8 +178,8 @@ func TestRunBatchesPatternSkips(t *testing.T) {
 
 // TestSchedulerMatchesHeap drives the calendar-queue scheduler and the
 // reference binary heap with an identical randomized push/pop script —
-// including far-future events beyond the wheel horizon — and requires
-// identical pop sequences.
+// including far-future events beyond the wheel horizon and keys pushed
+// out of order — and requires identical pop sequences.
 func TestSchedulerMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s scheduler
@@ -149,7 +194,9 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 		case 1:
 			dt = 0 // same-cycle push
 		}
-		e := event{time: now + dt, seq: seq, at: int32(seq % 97), kind: int8(seq % 3)}
+		// Keys are unique but arrive out of order (an odd multiplier is
+		// a bijection mod 2^31), so same-time buckets need sorting.
+		e := event{time: now + dt, seq: seq * 2654435761 % (1 << 31), at: int32(seq % 97), kind: int8(seq % 3)}
 		seq++
 		s.push(e)
 		ref.push(e)
@@ -159,14 +206,16 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 			push()
 			continue
 		}
-		got, want := s.pop(), ref.pop()
+		got, _ := s.popBefore(math.MaxInt64)
+		want := ref.pop()
 		if got != want {
 			t.Fatalf("step %d: scheduler popped %+v, heap popped %+v", i, got, want)
 		}
 		now = got.time
 	}
 	for len(ref) > 0 {
-		got, want := s.pop(), ref.pop()
+		got, _ := s.popBefore(math.MaxInt64)
+		want := ref.pop()
 		if got != want {
 			t.Fatalf("drain: scheduler popped %+v, heap popped %+v", got, want)
 		}
@@ -176,53 +225,41 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestLatDigestExactBelowCap: while a run delivers no more samples
-// than the cap, the digest's quantile is the exact quantile.
-func TestLatDigestExactBelowCap(t *testing.T) {
-	var d latDigest
-	d.reset(5, 1000)
+// TestLatDigestExact: the digest's quantile and mean are exact, and
+// merging digests of a partition of the samples — per shard, per
+// tenant — gives exactly the digest of the whole.
+func TestLatDigestExact(t *testing.T) {
+	var whole latDigest
+	parts := make([]latDigest, 3)
 	rng := rand.New(rand.NewSource(2))
 	var all []int64
-	var sum float64
-	for i := 0; i < 999; i++ {
+	var sum int64
+	for i := 0; i < 20_000; i++ {
 		v := rng.Int63n(1 << 16)
-		d.add(v)
+		whole.add(v)
+		parts[rng.Intn(len(parts))].add(v)
 		all = append(all, v)
-		sum += float64(v)
+		sum += v
 	}
-	if got, want := d.quantile(0.99), refPercentile(all, 0.99); got != want {
-		t.Errorf("below-cap quantile %d want exact %d", got, want)
+	for _, p := range []float64{0.5, 0.99, 1} {
+		if got, want := whole.quantile(p), refPercentile(all, p); got != want {
+			t.Errorf("quantile(%v) %d want exact %d", p, got, want)
+		}
 	}
-	if got, want := d.mean(), sum/float64(len(all)); got != want {
+	if got, want := whole.mean(), float64(sum)/float64(len(all)); got != want {
 		t.Errorf("mean %v want %v", got, want)
 	}
-}
-
-// TestLatDigestReservoir: beyond the cap the sample stays bounded,
-// deterministic per seed, exact in mean, and the quantile estimate
-// lands near the true quantile of a known distribution.
-func TestLatDigestReservoir(t *testing.T) {
-	mk := func() *latDigest {
-		d := &latDigest{}
-		d.reset(5, 512)
-		for i := int64(0); i < 100_000; i++ {
-			d.add(i) // uniform 0..99999
-		}
-		return d
+	merged := parts[0]
+	merged.counts = slices.Clone(merged.counts)
+	for i := range parts[1:] {
+		merged.merge(&parts[1+i])
 	}
-	a, b := mk(), mk()
-	if len(a.samples) != 512 {
-		t.Fatalf("reservoir size %d want 512", len(a.samples))
+	if !reflect.DeepEqual(merged, whole) {
+		t.Errorf("merged partition digest differs from the whole-run digest")
 	}
-	if qa, qb := a.quantile(0.99), b.quantile(0.99); qa != qb {
-		t.Errorf("same seed, different reservoir quantiles: %d vs %d", qa, qb)
-	}
-	if got, want := a.mean(), float64(99_999)/2; math.Abs(got-want) > 1 {
-		t.Errorf("mean %v want %v (exact regardless of reservoir)", got, want)
-	}
-	q := float64(a.quantile(0.99))
-	if q < 95_000 || q > 100_000 {
-		t.Errorf("P99 estimate %v far from true 99000", q)
+	whole.reset()
+	if whole.count != 0 || whole.quantile(0.99) != 0 || len(whole.counts) != 0 {
+		t.Errorf("reset digest not empty: %+v", whole)
 	}
 }
 
@@ -346,12 +383,12 @@ func TestRunLoadStreamBacklogBounded(t *testing.T) {
 		t.Fatal("idle run")
 	}
 	total := nep * msgs
-	if nw.sched.peak >= total/2 {
+	if peak := nw.par.peak.events; peak >= total/2 {
 		t.Errorf("event-queue peak %d is O(total traffic %d); streaming should keep it near the in-flight population",
-			nw.sched.peak, total)
+			peak, total)
 	}
-	if len(nw.packets) >= total/2 {
+	if hw := len(nw.views[0].packets); hw >= total/2 {
 		t.Errorf("arena high-water %d is O(total traffic %d); freelist recycling failed",
-			len(nw.packets), total)
+			hw, total)
 	}
 }

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Multi-tenant runs: a TenantConfig partitions the endpoints among
 // co-scheduled jobs ("tenants") and gives each its own offered load.
@@ -77,11 +74,9 @@ func (nw *Network) gapOf(ep int32) float64 {
 	return nw.meanGap
 }
 
-// resetTenants (re)initializes the per-tenant accumulators of a run
-// view — the coordinator/serial Network in reset, each shard view in
-// runLoadParallel. Digest reservoir seeds are offset per tenant so
-// tenants sample independently.
-func (nw *Network) resetTenants(limit int) {
+// resetTenants (re)initializes a view's per-tenant accumulators for a
+// run.
+func (nw *Network) resetTenants() {
 	if nw.tenants == nil {
 		nw.tenStats = nil
 		nw.tenLat = nil
@@ -93,7 +88,7 @@ func (nw *Network) resetTenants(limit int) {
 		nw.tenLat = make([]latDigest, k)
 	}
 	for t := range nw.tenLat {
-		nw.tenLat[t].reset(nw.cfg.Seed+1+int64(t), limit)
+		nw.tenLat[t].reset()
 	}
 }
 
@@ -120,88 +115,29 @@ func (nw *Network) tenDelivered(srcEP int32, lat int64) {
 	}
 }
 
-// finalizeTenants closes out a serial run's (or RunBatches') tenant
-// accounting: the Dropped identity and the digest-derived mean/P99.
-// Returns nil on a single-tenant run so Stats.Tenants stays omitted
-// from JSON.
-func (nw *Network) finalizeTenants() []TenantStats {
+// foldTenants combines the views' per-tenant accounting, in view
+// order: counters sum and the digests merge into view 0's, so tenant
+// statistics are exact and identical for every shard count, like the
+// run's. Returns nil on a single-tenant run so Stats.Tenants stays
+// omitted from JSON.
+func (nw *Network) foldTenants() []TenantStats {
 	if nw.tenants == nil {
 		return nil
 	}
-	out := make([]TenantStats, len(nw.tenStats))
-	copy(out, nw.tenStats)
+	v0 := nw.views[0]
+	out := make([]TenantStats, len(v0.tenStats))
 	for t := range out {
-		out[t].Dropped = out[t].Offered - out[t].Delivered
-		if d := &nw.tenLat[t]; d.count > 0 {
-			out[t].MeanLatency = d.mean()
-			out[t].P99Latency = d.quantile(0.99)
-		}
-	}
-	return out
-}
-
-// foldTenantShards combines the shards' per-tenant accounting, in
-// shard order: counters sum exactly, the mean folds from exact sums,
-// and the P99 is the weighted percentile of the shard samples — the
-// same discipline as foldShards, so tenant statistics inherit the
-// engine's worker-count invariance.
-func (nw *Network) foldTenantShards(shards []*Network) []TenantStats {
-	if nw.tenants == nil {
-		return nil
-	}
-	k := len(nw.tenants.Load)
-	out := make([]TenantStats, k)
-	type wsample struct {
-		v int64
-		w float64
-	}
-	for t := 0; t < k; t++ {
-		var sum float64
-		var count int64
-		var samples []wsample
-		for _, sh := range shards {
-			out[t].Offered += sh.tenStats[t].Offered
-			out[t].Delivered += sh.tenStats[t].Delivered
-			d := &sh.tenLat[t]
-			sum += d.sum
-			count += d.count
-			if len(d.samples) > 0 {
-				w := float64(d.count) / float64(len(d.samples))
-				for _, v := range d.samples {
-					samples = append(samples, wsample{v, w})
-				}
+		d := &v0.tenLat[t]
+		for _, v := range nw.views {
+			out[t].Offered += v.tenStats[t].Offered
+			out[t].Delivered += v.tenStats[t].Delivered
+			if v != v0 {
+				d.merge(&v.tenLat[t])
 			}
 		}
 		out[t].Dropped = out[t].Offered - out[t].Delivered
-		if count > 0 {
-			out[t].MeanLatency = sum / float64(count)
-			sort.Slice(samples, func(i, j int) bool { return samples[i].v < samples[j].v })
-			var total float64
-			for _, s := range samples {
-				total += s.w
-			}
-			thr := 0.99 * total
-			var cum float64
-			for _, s := range samples {
-				cum += s.w
-				if cum >= thr {
-					out[t].P99Latency = s.v
-					break
-				}
-			}
-		}
+		out[t].MeanLatency = d.mean()
+		out[t].P99Latency = d.quantile(0.99)
 	}
 	return out
-}
-
-// memoryBytesTenants is the tenant accumulators' contribution to the
-// run's working set (0 on single-tenant runs, so their accounting is
-// untouched).
-func (nw *Network) memoryBytesTenants() int64 {
-	var b int64
-	for t := range nw.tenLat {
-		b += nw.tenLat[t].memoryBytes()
-	}
-	b += int64(len(nw.tenStats)) * 40
-	return b
 }

@@ -104,24 +104,12 @@ func motifDigest(m traffic.Motif) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// engineClass names the statistics-relevant engine choice: the serial
-// reference engine and the sharded parallel engine produce different
-// (both deterministic) statistics, but the parallel engine's results
-// are invariant across every shard count >= 2, so only the class — not
-// the exact Workers value — enters cell keys.
-func engineClass(workers int) string {
-	if workers >= 2 {
-		return "parallel"
-	}
-	return "serial"
-}
-
 // sharedKeyHeader is the per-grid prefix of every cell content key:
 // the code version stamp plus every knob that shapes all cells alike.
-func (g *Grid) sharedKeyHeader(workers int) string {
+func (g *Grid) sharedKeyHeader() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "spectralfly-cell-v1\nversion=%s\nengine=%s\nmeasure=%s\nseed=%d\nranks=%d\nmsgs=%d\n",
-		version.Stamp(), engineClass(workers), g.Measure, g.Seed, g.Ranks, g.MsgsPerRank)
+	fmt.Fprintf(&b, "spectralfly-cell-v1\nversion=%s\nmeasure=%s\nseed=%d\nranks=%d\nmsgs=%d\n",
+		version.Stamp(), g.Measure, g.Seed, g.Ranks, g.MsgsPerRank)
 	switch g.Measure {
 	case MeasureSaturation:
 		fmt.Fprintf(&b, "latf=%v\ntol=%v\n", g.LatencyFactor, g.Tol)
@@ -135,7 +123,7 @@ func (g *Grid) sharedKeyHeader(workers int) string {
 		}
 	}
 	// The layout and tenant axes append only when active, so grids that
-	// never use them keep the keys a PR-9 cache already holds.
+	// never use them keep the keys they had before those axes existed.
 	if g.Layout.enabled() {
 		fmt.Fprintf(&b, "layout=%s:%v:%d\n", g.Layout.Mode, g.Layout.cyclesPerNs(), g.Layout.Seed)
 	}
@@ -179,13 +167,13 @@ func latencyDigest(t *simnet.LinkLatencies) string {
 // that the default cell identity strings do not fully capture (e.g.
 // FaultAxis.RegionSize changes the sampled plan but not the cell key).
 func (g *Grid) contentKey(shared string, digests []string, c *Cell, extra string) string {
-	ck := g.Keys.cellKey(c)
+	ck := cellKey(c)
 	h := sha256.New()
 	io.WriteString(h, shared)
 	fmt.Fprintf(h, "graph=%s\nconc=%d\n", digests[c.Instance], g.Instances[c.Instance].Concentration)
 	// The cell identity string, plus the fields it derives from spelled
-	// out explicitly — custom Keys.CellKey formats may elide an axis, and
-	// a key collision must cost a cache miss, never a wrong result.
+	// out explicitly — the identity names a motif by its display label,
+	// and a key collision must cost a cache miss, never a wrong result.
 	fmt.Fprintf(h, "cell=%s\nsimseed=%d\npolicy=%s\n", ck, g.seedOf(c, ck), c.Policy)
 	switch g.Measure {
 	case MeasureMotif:
@@ -202,28 +190,29 @@ func (g *Grid) contentKey(shared string, digests []string, c *Cell, extra string
 
 // ContentKeys returns one content-addressed cache key per cell, in
 // Cells() order. A key commits to everything the cell's measurement
-// depends on: the code version stamp, the engine class for the given
-// Workers option, the grid's shared workload knobs, the instance's
-// exact graph and concentration, the cell identity and its derived
-// simulation seed, and the cell's sampled fault-plan or schedule
-// parameters. Two overlapping grids (say, differing only in an extra
-// fault axis) share keys for the cells they have in common, so a
-// cache warmed by one serves the other.
-func (g *Grid) ContentKeys(workers int) ([]string, error) {
+// depends on: the code version stamp, the grid's shared workload
+// knobs, the instance's exact graph and concentration, the cell
+// identity and its derived simulation seed, and the cell's sampled
+// fault-plan or schedule parameters. Two overlapping grids (say,
+// differing only in an extra fault axis) share keys for the cells they
+// have in common, so a cache warmed by one serves the other. Results
+// do not depend on how the run is executed (Options), so neither do
+// keys: a cache warmed at one worker count serves every other.
+func (g *Grid) ContentKeys() ([]string, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	return g.contentKeys(workers, g.deriver())
+	return g.contentKeys(g.deriver())
 }
 
 // contentKeys is ContentKeys with a caller-supplied deriver, so Run
 // shares one set of memoized placements between key computation and
 // task construction instead of optimizing every placement twice.
-func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
+func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 	if err := g.cacheable(); err != nil {
 		return nil, err
 	}
-	shared := g.sharedKeyHeader(workers)
+	shared := g.sharedKeyHeader()
 	digests := make([]string, len(g.Instances))
 	for i := range g.Instances {
 		digests[i] = graphDigest(g.Instances[i].Inst.G)
@@ -256,7 +245,7 @@ func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
 			for trial := 0; trial < f.trials(); trial++ {
 				cells := g.pointCells(ii, f.Kind.String(), f.Fraction, trial, next)
 				next += len(cells)
-				planSeed := runner.DeriveSeed(g.Seed, g.Keys.planKey(inst.Name, f, trial))
+				planSeed := runner.DeriveSeed(g.Seed, planKey(inst.Name, f, trial))
 				addGroup(cells, fmt.Sprintf("fault=%s:%v:%d:%d", f.Kind, f.Fraction, f.RegionSize, planSeed))
 			}
 		}
@@ -264,7 +253,7 @@ func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
 			for trial := 0; trial < s.trials(); trial++ {
 				cells := g.schedCells(ii, s, trial, next)
 				next += len(cells)
-				schedSeed := runner.DeriveSeed(g.Seed, g.Keys.scheduleKey(inst.Name, s, trial))
+				schedSeed := runner.DeriveSeed(g.Seed, scheduleKey(inst.Name, s, trial))
 				addGroup(cells, fmt.Sprintf("sched=%s:%v:%d:%d:%d:%d:%d",
 					s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, schedSeed))
 			}
@@ -273,14 +262,14 @@ func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
 	return keys, nil
 }
 
-// Fingerprint returns the full grid identity for the given Workers
-// option: a digest over the code version stamp, every axis (instances
-// with their exact graphs, faults, schedules, policies, patterns,
-// motifs, loads) and every shared knob. Distributed runs use it as the
+// Fingerprint returns the full grid identity: a digest over the code
+// version stamp, every axis (instances with their exact graphs,
+// faults, schedules, policies, patterns, motifs, loads) and every
+// shared knob — no execution option. Distributed runs use it as the
 // coordinator/worker compatibility check and the journal name —
 // unlike the per-cell keys of ContentKeys, which deliberately exclude
 // unrelated axes, the fingerprint pins the whole grid.
-func (g *Grid) Fingerprint(workers int) (string, error) {
+func (g *Grid) Fingerprint() (string, error) {
 	if err := g.validate(); err != nil {
 		return "", err
 	}
@@ -289,7 +278,7 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 	}
 	h := sha256.New()
 	io.WriteString(h, "spectralfly-grid-v1\n")
-	io.WriteString(h, g.sharedKeyHeader(workers))
+	io.WriteString(h, g.sharedKeyHeader())
 	fmt.Fprintf(h, "omitintact=%v\nshift=%d", g.OmitIntact, g.ShiftPeriod)
 	for _, p := range g.ShiftPatterns {
 		fmt.Fprintf(h, ":%s", p)

@@ -109,7 +109,7 @@ func TestPartialCacheInterleavesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := cacheGrid(t).ContentKeys(0)
+	keys, err := cacheGrid(t).ContentKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,10 @@ func TestCacheRejectsOpaqueSchedules(t *testing.T) {
 	if err == nil {
 		t.Fatal("opaque schedule cached without error")
 	}
-	if _, err := g.ContentKeys(0); err == nil {
+	if _, err := g.ContentKeys(); err == nil {
 		t.Fatal("ContentKeys accepted an opaque schedule")
 	}
-	if _, err := g.Fingerprint(0); err == nil {
+	if _, err := g.Fingerprint(); err == nil {
 		t.Fatal("Fingerprint accepted an opaque schedule")
 	}
 	// Without the cache the same grid still runs (sampled per trial).
@@ -238,41 +238,54 @@ func (f fakeMotif) Rounds() [][][2]int32 { return f.rounds }
 // TestContentKeyDiscrimination: everything a cell's measurement
 // depends on must move its content key.
 func TestContentKeyDiscrimination(t *testing.T) {
-	keysOf := func(g *Grid, workers int) []string {
-		ks, err := g.ContentKeys(workers)
+	keysOf := func(g *Grid) []string {
+		ks, err := g.ContentKeys()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ks
 	}
 
-	base := keysOf(cacheGrid(t), 0)
+	base := keysOf(cacheGrid(t))
 
 	// Stability: an identical grid reproduces identical keys.
-	if !reflect.DeepEqual(base, keysOf(cacheGrid(t), 0)) {
+	if !reflect.DeepEqual(base, keysOf(cacheGrid(t))) {
 		t.Error("identical grids produced different keys")
 	}
 
-	// Engine class: serial vs parallel differ; shard counts >= 2 agree.
-	if reflect.DeepEqual(base, keysOf(cacheGrid(t), 2)) {
-		t.Error("serial and parallel engines share keys")
-	}
-	if !reflect.DeepEqual(keysOf(cacheGrid(t), 2), keysOf(cacheGrid(t), 8)) {
-		t.Error("shard count leaked into keys (Workers=2 vs 8 must agree)")
+	// Workers does not enter keys, because it cannot change results:
+	// runs at Workers 0, 1, 2 and 8 store the same payloads under the
+	// same keys.
+	var stored map[string][]byte
+	for _, w := range []int{0, 1, 2, 8} {
+		cache := newMemCache()
+		if _, err := cacheGrid(t).Collect(context.Background(), Options{Workers: w, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		if stored == nil {
+			stored = cache.m
+			for _, k := range base {
+				if _, ok := stored[k]; !ok {
+					t.Fatalf("run stored no payload under content key %s", k)
+				}
+			}
+		} else if !reflect.DeepEqual(cache.m, stored) {
+			t.Errorf("Workers=%d stored different keys or payloads than Workers=0", w)
+		}
 	}
 
 	// FaultAxis.RegionSize is absent from the default cell identity
 	// string but changes the sampled plan — the content key must see it.
 	rs := cacheGrid(t)
 	rs.Faults[1].RegionSize = 4
-	if reflect.DeepEqual(base, keysOf(rs, 0)) {
+	if reflect.DeepEqual(base, keysOf(rs)) {
 		t.Error("RegionSize did not move the fault cells' keys")
 	}
 
 	// The code version stamp invalidates everything.
 	old := version.Stamp()
 	version.Override(old + "+next")
-	stamped := keysOf(cacheGrid(t), 0)
+	stamped := keysOf(cacheGrid(t))
 	version.Override(old)
 	for i := range base {
 		if base[i] == stamped[i] {
@@ -292,8 +305,8 @@ func TestContentKeyDiscrimination(t *testing.T) {
 			Seed:      7,
 		}
 	}
-	quick := keysOf(motifGrid(fakeMotif{name: "halo", rounds: [][][2]int32{{{0, 1}}}}), 0)
-	fullM := keysOf(motifGrid(fakeMotif{name: "halo", rounds: [][][2]int32{{{0, 1}}, {{1, 0}}}}), 0)
+	quick := keysOf(motifGrid(fakeMotif{name: "halo", rounds: [][][2]int32{{{0, 1}}}}))
+	fullM := keysOf(motifGrid(fakeMotif{name: "halo", rounds: [][][2]int32{{{0, 1}}, {{1, 0}}}}))
 	if quick[0] == fullM[0] {
 		t.Error("motifs with equal names but different rounds share a key")
 	}
@@ -302,37 +315,37 @@ func TestContentKeyDiscrimination(t *testing.T) {
 	// the schedule axis must not move the fault cells' keys.
 	noSched := cacheGrid(t)
 	noSched.Schedules = nil
-	sub := keysOf(noSched, 0)
+	sub := keysOf(noSched)
 	if !reflect.DeepEqual(base[:len(sub)], sub) {
 		t.Error("removing an unrelated axis moved the remaining cells' keys")
 	}
 }
 
 // TestFingerprint pins the full-grid identity: stable for identical
-// grids, moved by any axis change, sensitive to the engine class.
+// grids, moved by any axis change. It is a function of the grid alone —
+// no execution option (Parallel, Workers) enters it — so coordinators
+// and workers at any Workers value agree (the façade test
+// TestSweepFingerprintAndKeys pins that end to end).
 func TestFingerprint(t *testing.T) {
-	fp := func(g *Grid, workers int) string {
-		s, err := g.Fingerprint(workers)
+	fp := func(g *Grid) string {
+		s, err := g.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	a, b := fp(cacheGrid(t), 0), fp(cacheGrid(t), 0)
+	a, b := fp(cacheGrid(t)), fp(cacheGrid(t))
 	if a != b {
 		t.Error("identical grids fingerprint differently")
 	}
-	if fp(cacheGrid(t), 0) == fp(cacheGrid(t), 2) {
-		t.Error("engine class absent from the fingerprint")
-	}
 	mod := cacheGrid(t)
 	mod.Schedules = nil
-	if fp(mod, 0) == a {
+	if fp(mod) == a {
 		t.Error("axis removal did not move the fingerprint")
 	}
 	mod2 := cacheGrid(t)
 	mod2.Seed++
-	if fp(mod2, 0) == a {
+	if fp(mod2) == a {
 		t.Error("seed change did not move the fingerprint")
 	}
 }
@@ -396,13 +409,13 @@ func FuzzCellKeyInjective(f *testing.F) {
 		cells := g.Cells()
 		seen := make(map[string]int, len(cells))
 		for i := range cells {
-			k := g.Keys.cellKey(&cells[i])
+			k := cellKey(&cells[i])
 			if j, dup := seen[k]; dup {
 				t.Fatalf("cell key collision: cells %d and %d both map to %q", j, i, k)
 			}
 			seen[k] = i
 		}
-		keys, err := g.ContentKeys(int(nPol) % 3)
+		keys, err := g.ContentKeys()
 		if err != nil {
 			t.Fatal(err)
 		}

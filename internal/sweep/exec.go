@@ -166,7 +166,7 @@ func poolSize(opts Options) int {
 // damaged) topology and everything derived from it.
 type task struct {
 	cell  *Cell
-	key   string // Keys.cellKey, for error messages
+	key   string // cellKey, for error messages
 	seed  int64
 	g     *graph.Graph
 	dead  []bool

@@ -262,7 +262,7 @@ func TestRunCacheCancelEveryPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := cacheGrid(t).ContentKeys(0)
+	keys, err := cacheGrid(t).ContentKeys()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,11 @@
 //
 // Every experiment driver in internal/exp and the public
 // spectralfly.Sweep API are thin presets over this package: they
-// declare axes, supply a key scheme (the stable cell identities that
-// per-cell seeds derive from), and reduce the streamed results into
-// their exhibit's rows. Because seeds derive from cell identity and
-// results are delivered in cell order, a grid's output is
-// bit-identical for every worker count.
+// declare axes and reduce the streamed results into their exhibit's
+// rows. Per-cell seeds derive from one canonical key scheme — the
+// stable cell, plan and schedule identities below — and results are
+// delivered in cell order, so a grid's output is bit-identical for
+// every worker count.
 //
 // Grids with a fault axis follow the performance-under-failure
 // lifecycle of the resilience study: per (instance, fault axis), the
@@ -163,21 +163,9 @@ type Result struct {
 	Err        error
 }
 
-// Keys customizes the stable identities of a grid. CellKey feeds the
-// per-cell seed derivation and error messages; PlanKey seeds
-// the fault-plan sampling. Nil funcs select the canonical formats
-// below, which the public sweep API uses; the exp presets install
-// their historical formats so golden outputs are preserved.
-type Keys struct {
-	CellKey     func(*Cell) string
-	PlanKey     func(topology string, f FaultAxis, trial int) string
-	ScheduleKey func(topology string, s ScheduleAxis, trial int) string
-}
-
-func (k Keys) cellKey(c *Cell) string {
-	if k.CellKey != nil {
-		return k.CellKey(c)
-	}
+// cellKey is a cell's stable identity: its simulation seed derives
+// from it (unless Grid.SeedOf overrides) and error messages name it.
+func cellKey(c *Cell) string {
 	switch {
 	case c.Schedule != "":
 		return fmt.Sprintf("sweep/%s/reconfig/%s/%d/%s/%s/%v",
@@ -193,17 +181,15 @@ func (k Keys) cellKey(c *Cell) string {
 		c.Topology, c.Fault, c.Fraction, c.Trial)
 }
 
-func (k Keys) planKey(topology string, f FaultAxis, trial int) string {
-	if k.PlanKey != nil {
-		return k.PlanKey(topology, f, trial)
-	}
+// planKey is the stable identity a fault plan's sampling seed derives
+// from.
+func planKey(topology string, f FaultAxis, trial int) string {
 	return fmt.Sprintf("sweep/plan/%s/%s/%v/%d", topology, f.Kind, f.Fraction, trial)
 }
 
-func (k Keys) scheduleKey(topology string, s ScheduleAxis, trial int) string {
-	if k.ScheduleKey != nil {
-		return k.ScheduleKey(topology, s, trial)
-	}
+// scheduleKey is the stable identity a sampled schedule's seed derives
+// from.
+func scheduleKey(topology string, s ScheduleAxis, trial int) string {
 	return fmt.Sprintf("sweep/schedule/%s/%s/%d", topology, s.Name, trial)
 }
 
@@ -262,10 +248,9 @@ type Grid struct {
 	Tenants traffic.Tenants
 
 	// Seed is the base seed: rank→endpoint mappings use it directly;
-	// cells and fault plans derive theirs from it via their keys.
+	// cells, fault plans and schedules derive theirs from it via their
+	// stable keys.
 	Seed int64
-	// Keys overrides the stable identity formats.
-	Keys Keys
 	// SeedOf overrides the per-cell simulation seed (default:
 	// runner.DeriveSeed(Seed, key)). The Fig8 preset pins both policy
 	// legs to the same seed so the ratio isolates the routing effect.
@@ -277,14 +262,12 @@ type Options struct {
 	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
 	// results are bit-identical for every value.
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine: 0 or 1
-	// is the serial reference engine (bit-identical to historical
-	// outputs), >= 2 the sharded parallel engine. When Workers >= 2 and
-	// Parallel is 0, the cell pool is sized GOMAXPROCS / Workers
-	// (at least 1) so cells × shards never oversubscribe the machine.
-	// Per-cell statistics do not depend on the shard count, so a grid's
-	// output is still bit-identical for every Parallel value and every
-	// Workers >= 2 — only the serial/parallel engine choice matters.
+	// Workers splits each cell's simulation into that many router
+	// shards (simnet.Config.Workers). When Workers >= 2 and Parallel is
+	// 0, the cell pool is sized GOMAXPROCS / Workers (at least 1) so
+	// cells × shards never oversubscribe the machine. Cell statistics do
+	// not depend on the shard count, so a grid's output — and its cache
+	// keys — are bit-identical for every Parallel and Workers value.
 	Workers int
 	// Tables selects the routing-table storage backend for tables the
 	// run builds.
@@ -536,7 +519,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	var keys []string
 	if opts.Cache != nil {
 		var err error
-		if keys, err = g.contentKeys(opts.Workers, d); err != nil {
+		if keys, err = g.contentKeys(d); err != nil {
 			return err
 		}
 	}
@@ -607,7 +590,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 				}
 				c := &sel[i]
 				t := &tasks[i]
-				t.cell, t.key = c, g.Keys.cellKey(c)
+				t.cell, t.key = c, cellKey(c)
 				t.seed = g.seedOf(c, t.key)
 				t.g = g.Instances[c.Instance].Inst.G
 				if points != nil {
@@ -699,7 +682,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 						Kind:       f.Kind,
 						Fraction:   f.Fraction,
 						RegionSize: f.RegionSize,
-						Seed:       runner.DeriveSeed(g.Seed, g.Keys.planKey(inst.Name, f, trial)),
+						Seed:       runner.DeriveSeed(g.Seed, planKey(inst.Name, f, trial)),
 					}
 					out := plan.Apply(inst.Inst.G)
 					repaired := base.Repair(out.Removed)
@@ -751,7 +734,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 				// bit-identical for every worker count.
 				scheds := make([]fault.Schedule, s.trials())
 				for trial := range scheds {
-					seed := runner.DeriveSeed(g.Seed, g.Keys.scheduleKey(inst.Name, s, trial))
+					seed := runner.DeriveSeed(g.Seed, scheduleKey(inst.Name, s, trial))
 					sched, err := s.sample(inst.Inst.G, seed)
 					if err != nil {
 						return nil, nil, fmt.Errorf("sweep: schedule axis %q on %s: %w", s.Name, inst.Name, err)

@@ -123,10 +123,10 @@ func TestRunParallelIndependence(t *testing.T) {
 }
 
 // TestRunWorkersPlumbing: Options.Workers reaches each cell's
-// simulator. Shard-count invariance (identical stats for every
-// Workers >= 2, MemoryBytes aside) must survive the whole sweep
-// lifecycle, and the parallel engine must conserve the serial engine's
-// message counts cell by cell.
+// simulator. Shard-count invariance must survive the whole sweep
+// lifecycle, and sharded cells must conserve the one-shard cells'
+// message counts cell by cell (the cache-key test in cache_test.go
+// compares whole payloads across Workers values).
 func TestRunWorkersPlumbing(t *testing.T) {
 	serial, err := loadGrid(t).Collect(context.Background(), Options{Parallel: 1})
 	if err != nil {

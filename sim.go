@@ -62,29 +62,17 @@ type SimConfig struct {
 	// buffers propagate backpressure upstream like the paper's 64 KB
 	// router buffers.
 	BufferPackets int
-	// LatencySampleCap bounds the per-run latency sample behind
-	// SimStats.P99Latency: up to this many delivered latencies are kept
-	// exactly, beyond it a deterministic seeded reservoir keeps a
-	// uniform sample (the percentile becomes an estimate; mean and max
-	// stay exact). 0 selects the default (8192). See DESIGN.md §9.
-	LatencySampleCap int
 	// Seed drives all randomness.
 	Seed int64
 	// Table selects the routing-table storage backend (the zero value
 	// is the dense store, matching routing.TableOptions).
 	Table TableOptions
-	// Workers selects the run-loop engine: 0 or 1 is the serial
-	// reference engine (bit-identical to previous releases), >= 2
-	// partitions the routers into that many shards simulated in
-	// parallel. Parallel runs are deterministic for a fixed (Seed,
-	// Workers) and produce identical statistics for every Workers >= 2;
-	// they are a different deterministic schedule than the serial
-	// engine, not a different model. Timed topology-event schedules
-	// and time-varying workloads shard like any other run (the
-	// coordinator clips lookahead windows at schedule edges).
-	// Configurations the sharded engine does not support (UGAL-G,
-	// finite buffers, tiny topologies) fall back to serial. See
-	// DESIGN.md §10.
+	// Workers splits every run into that many router shards simulated
+	// in parallel (0 and 1: one shard, on the calling goroutine).
+	// Results are identical for every value — event order and routing
+	// randomness derive from canonical message identities — so Workers
+	// only trades wall-clock time for cores. UGAL-G, finite buffers and
+	// tiny topologies always run on one shard. See DESIGN.md §10.
 	Workers int
 }
 
@@ -107,17 +95,16 @@ type Sim struct {
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
 	table := routing.NewTableOpts(n.G, cfg.Table)
 	nw, err := simnet.New(simnet.Config{
-		Topo:             n.G,
-		Concentration:    cfg.Concentration,
-		PacketFlits:      cfg.PacketFlits,
-		RouterLatency:    cfg.RouterLatency,
-		LinkLatency:      cfg.LinkLatency,
-		BufferPackets:    cfg.BufferPackets,
-		LatencySampleCap: cfg.LatencySampleCap,
-		DeadRouters:      n.failedRouters,
-		Policy:           cfg.Policy,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
+		Topo:          n.G,
+		Concentration: cfg.Concentration,
+		PacketFlits:   cfg.PacketFlits,
+		RouterLatency: cfg.RouterLatency,
+		LinkLatency:   cfg.LinkLatency,
+		BufferPackets: cfg.BufferPackets,
+		DeadRouters:   n.failedRouters,
+		Policy:        cfg.Policy,
+		Seed:          cfg.Seed,
+		Workers:       cfg.Workers,
 	}, table)
 	if err != nil {
 		return nil, err

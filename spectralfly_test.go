@@ -172,29 +172,6 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
-func TestPublicAPILatencySampleCap(t *testing.T) {
-	net, _ := LPS(11, 7)
-	// A tight cap degrades P99 to a bounded reservoir estimate: the run
-	// must stay deterministic per seed, keep mean/max exact, and report
-	// a smaller working set than the uncapped run.
-	capped := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, LatencySampleCap: 64})
-	full := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, LatencySampleCap: 1 << 20})
-	cst := capped.RunUniform(0.3, 20)
-	fst := full.RunUniform(0.3, 20)
-	if cst.Delivered != fst.Delivered || cst.MeanLatency != fst.MeanLatency || cst.MaxLatency != fst.MaxLatency {
-		t.Fatalf("cap changed exact statistics:\n%+v\n%+v", cst, fst)
-	}
-	if cst.P99Latency <= 0 || cst.P99Latency > cst.MaxLatency {
-		t.Errorf("capped P99 %d out of range (max %d)", cst.P99Latency, cst.MaxLatency)
-	}
-	if cst.MemoryBytes >= fst.MemoryBytes {
-		t.Errorf("capped run working set %d not below uncapped %d", cst.MemoryBytes, fst.MemoryBytes)
-	}
-	if again := capped.RunUniform(0.3, 20); !again.Equal(cst) {
-		t.Errorf("capped run not deterministic:\n%+v\n%+v", again, cst)
-	}
-}
-
 func TestPublicAPILayout(t *testing.T) {
 	net, _ := LPS(11, 7)
 	fp := net.Layout(4)

@@ -264,8 +264,7 @@ func (s *Sweep) Faults(axes ...FaultAxis) *Sweep {
 // Schedules sets the live-reconfiguration axis of a load sweep: each
 // topology also runs intact under every listed timed topology-event
 // schedule, after its fault groups. Reconfiguration cells honor
-// Workers like any other cell (the unified engine runs schedules on
-// both the serial and the sharded path; DESIGN.md §10).
+// Workers like any other cell (DESIGN.md §10).
 func (s *Sweep) Schedules(axes ...ScheduleAxis) *Sweep {
 	s.grid.Schedules = axes
 	return s
@@ -358,14 +357,13 @@ func (s *Sweep) Parallel(workers int) *Sweep {
 	return s
 }
 
-// Workers selects each cell's intra-run simulator engine: 0 or 1 is
-// the serial reference engine (bit-identical to previous releases),
-// >= 2 the sharded parallel engine of SimConfig.Workers. With
-// Workers >= 2 and Parallel unset, the cell pool is sized
-// GOMAXPROCS / Workers so cells × shards never oversubscribe the
-// machine. Cell statistics do not depend on the shard count — only
-// on the serial/parallel engine choice — so results stay
-// machine-independent for any fixed Workers value.
+// Workers splits each cell's simulation into that many router shards
+// (SimConfig.Workers). With Workers >= 2 and Parallel unset, the cell
+// pool is sized GOMAXPROCS / Workers so cells × shards never
+// oversubscribe the machine. Cell statistics do not depend on the
+// shard count, so results, cell keys and the fingerprint are the same
+// for every Workers value: it is a per-process execution knob, like
+// Parallel.
 func (s *Sweep) Workers(n int) *Sweep {
 	s.workers = n
 	return s
@@ -436,8 +434,9 @@ func (s *Sweep) CacheStats() CacheStats {
 
 // Fingerprint returns the sweep's full content identity: a digest over
 // the code version stamp, every axis (topologies with their exact
-// wiring, faults, schedules, policies, patterns, motifs, loads), every
-// workload knob and the engine class. Two sweeps with equal
+// wiring, faults, schedules, policies, patterns, motifs, loads) and
+// every workload knob — not the execution knobs Parallel and Workers,
+// which cannot change results. Two sweeps with equal
 // fingerprints compute identical grids; the distributed fabric uses it
 // as the coordinator/worker compatibility check and the journal name.
 func (s *Sweep) Fingerprint() (string, error) {
@@ -445,7 +444,7 @@ func (s *Sweep) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return g.Fingerprint(s.workers)
+	return g.Fingerprint()
 }
 
 // CellKeys returns each cell's content-addressed cache key, in cell
@@ -455,7 +454,7 @@ func (s *Sweep) CellKeys() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.ContentKeys(s.workers)
+	return g.ContentKeys()
 }
 
 // build finalizes the grid with defaults resolved.
@@ -569,11 +568,11 @@ func (s *Sweep) runRange(ctx context.Context, lo, hi int, fn func(CellResult) er
 		if s.cache == nil {
 			return fmt.Errorf("spectralfly: Resume requires Cache")
 		}
-		fp, err := g.Fingerprint(s.workers)
+		fp, err := g.Fingerprint()
 		if err != nil {
 			return err
 		}
-		keys, err := g.ContentKeys(s.workers)
+		keys, err := g.ContentKeys()
 		if err != nil {
 			return err
 		}

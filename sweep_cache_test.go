@@ -163,8 +163,9 @@ func TestSweepRunRangeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSweepFingerprintAndKeys: fingerprints discriminate sweeps, cell
-// keys line up with cells, and the version stamp is non-empty.
+// TestSweepFingerprintAndKeys: fingerprints discriminate sweeps but
+// not worker counts, cell keys line up with cells, and the version
+// stamp is non-empty.
 func TestSweepFingerprintAndKeys(t *testing.T) {
 	if Version() == "" {
 		t.Fatal("empty version stamp")
@@ -186,6 +187,25 @@ func TestSweepFingerprintAndKeys(t *testing.T) {
 	}
 	if a == c {
 		t.Error("seed change did not move the fingerprint")
+	}
+	// Workers is an execution knob: the fingerprint and the cell keys
+	// are the same at every shard count.
+	baseKeys, err := NewSweep("lps(11,7)").Loads(0.3).CellKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 8} {
+		fp, err := NewSweep("lps(11,7)").Loads(0.3).Workers(w).Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := NewSweep("lps(11,7)").Loads(0.3).Workers(w).CellKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != a || !reflect.DeepEqual(keys, baseKeys) {
+			t.Errorf("Workers(%d) moved the fingerprint or the cell keys", w)
+		}
 	}
 	sw := NewSweep("lps(11,7)").Loads(0.2, 0.5)
 	cells, err := sw.Cells()
