@@ -569,9 +569,6 @@ func (nw *Network) reset() {
 		clear(nw.injFree)
 		clear(nw.ejFree)
 	}
-	if nw.rng == nil {
-		nw.rng = rand.New(&nw.pktSrc)
-	}
 	nw.pattern = nil
 	nw.tpattern = nil
 	nw.tbl = nw.table
@@ -1138,11 +1135,10 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 	}
 	nw.reset()
 	views := nw.begin(0)
-	var clock, uid int64
+	var clock, base int64
 	skips := 0
 	for _, round := range rounds {
-		for _, m := range round {
-			uid++
+		for i, m := range round {
 			if m.SrcEP == m.DstEP || m.DstEP < 0 || m.DstEP >= nw.nep {
 				skips++
 				continue
@@ -1162,9 +1158,10 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 				interm:    -2,
 				created:   clock,
 			})
-			v.newStream(pi, uid-1)
+			v.newStream(pi, base+int64(i))
 			v.inject(pi, clock)
 		}
+		base += int64(len(round))
 		nw.drive(nw.cfg.Schedule.Cursor()) // empty: checked above
 		for _, v := range views {
 			clock = max(clock, v.stats.Makespan)

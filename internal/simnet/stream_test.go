@@ -285,10 +285,11 @@ func disconnectedNet(t *testing.T, policy routing.Policy) *Network {
 func TestPathCostUnreachable(t *testing.T) {
 	nw := disconnectedNet(t, routing.UGALG)
 	nw.reset()
-	if cost, ok := nw.pathCost(0, 2, 0); ok {
+	v := nw.begin(0)[0]
+	if cost, ok := v.pathCost(0, 2, 0); ok {
 		t.Errorf("pathCost across components reported ok with cost %d", cost)
 	}
-	if cost, ok := nw.pathCost(0, 1, 0); !ok || cost <= 0 {
+	if cost, ok := v.pathCost(0, 1, 0); !ok || cost <= 0 {
 		t.Errorf("pathCost within component = (%d, %v), want positive cost", cost, ok)
 	}
 }
@@ -304,13 +305,14 @@ func TestUGALGMinimalFallbackNoIntermediate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.reset()
+	v := nw.begin(0)[0]
 	p := packet{srcEP: 0, dstEP: 1, dstRouter: 1, interm: -2}
-	nw.decidePolicy(&p, 0, 0)
+	v.decidePolicy(&p, 0, 0)
 	if p.interm != -1 || p.phase != 1 {
 		t.Errorf("UGAL-G without intermediates: interm=%d phase=%d, want minimal fallback", p.interm, p.phase)
 	}
-	if nw.stats.ValiantTaken != 0 {
-		t.Errorf("ValiantTaken %d on the fallback path", nw.stats.ValiantTaken)
+	if v.stats.ValiantTaken != 0 {
+		t.Errorf("ValiantTaken %d on the fallback path", v.stats.ValiantTaken)
 	}
 }
 
