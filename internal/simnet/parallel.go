@@ -49,18 +49,22 @@ import (
 // barrier via the onTopo hook, where the per-view counters sum exactly
 // (see conservation).
 //
-// Determinism comes from a canonical total order on events, not from
-// the merge order: an event's scheduler tie-break key (event.seq) is
-// the message's stable identity — srcEP·msgs + draw index for packet
+// Determinism comes from a canonical per-router order on events, not
+// from the merge order: an event's scheduler tie-break key (event.seq)
+// is the message's stable identity — srcEP·msgs + draw index for packet
 // events, the same form offset past the packet range for
 // injection-cursor events, the message's index for RunBatches — and
 // each packet draws its routing randomness (next-hop selection,
 // Valiant intermediates) from a private SplitMix64 stream seeded by
-// that identity. Every view therefore pops its events in (time, key)
-// order no matter how they arrived, and a router's event order does not
-// depend on which other routers share its view, so the simulated
-// schedule — port contention, adaptive decisions, everything — is a
-// pure function of the seed, identical for every shard count.
+// that identity. Every view pops each router's arrivals in (time, key)
+// order no matter how they arrived; events at different routers in the
+// same cycle touch disjoint state (sched.go), so their relative order
+// is free, and a router's event order does not depend on which other
+// routers share its view. The simulated schedule — port contention,
+// adaptive decisions, everything — is therefore a pure function of the
+// seed, identical for every shard count. Cross-router configurations
+// (UGAL-G, finite buffers) run on one shard in the total (time, key)
+// order.
 type parRun struct {
 	shardOf []int32 // router id -> owning view
 	msgs    int64   // msgsPerEP, the stride of the canonical id space
@@ -103,13 +107,19 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// shardCount resolves Config.Workers to the run's shard count. UGAL-G
-// and finite buffers run on one shard: UGAL-G samples backlog along
-// whole paths (other routers' port state), and finite buffers write
-// backpressure into the upstream router's ports. Workers <= 1 and
-// topologies too small to split are one shard too.
+// crossRouter reports whether an event at one router reads or writes
+// port state of other routers: UGAL-G samples backlog along whole paths,
+// and finite buffers write backpressure into the upstream router's
+// ports. Such runs need the total event order and one shard.
+func (nw *Network) crossRouter() bool {
+	return nw.cfg.Policy == routing.UGALG || nw.cfg.BufferPackets > 0
+}
+
+// shardCount resolves Config.Workers to the run's shard count.
+// Cross-router configurations (UGAL-G, finite buffers), Workers <= 1
+// and topologies too small to split are one shard.
 func (nw *Network) shardCount() int {
-	if nw.cfg.Policy == routing.UGALG || nw.cfg.BufferPackets > 0 {
+	if nw.crossRouter() {
 		return 1
 	}
 	return max(1, min(nw.cfg.Workers, nw.n/minShardRouters))
@@ -204,11 +214,11 @@ func (nw *Network) bind(v *Network, s int32) {
 	v.dead, v.lats, v.tenants, v.live = nw.dead, nw.lats, nw.tenants, nw.live
 	v.portFree, v.injFree, v.ejFree = nw.portFree, nw.injFree, nw.ejFree
 	v.gens, v.pattern, v.tpattern, v.meanGap = nw.gens, nw.pattern, nw.tpattern, nw.meanGap
-	v.onDeliver, v.par, v.shardID = nw.onDeliver, nw.par, s
+	v.onDeliver, v.forceStrict, v.par, v.shardID = nw.onDeliver, nw.forceStrict, nw.par, s
 	if v.rng == nil {
 		v.rng = rand.New(&v.pktSrc)
 	}
-	v.sched.reset()
+	v.sched.reset(nw.n, nw.crossRouter() || nw.forceStrict)
 	v.packets = v.packets[:0]
 	v.free = v.free[:0]
 	v.lat.reset()
@@ -262,10 +272,11 @@ func (nw *Network) recv(x xmsg) {
 // observes the occupancy at every cycle boundary it crosses.
 func (nw *Network) drainUntil(end int64) {
 	for {
-		e, ok := nw.sched.popBefore(end)
-		if !ok {
+		ep := nw.sched.popBefore(end)
+		if ep == nil {
 			return
 		}
+		e := *ep
 		if e.time > nw.obs {
 			nw.observe(e.time, 1) // e is popped but still pending
 		}

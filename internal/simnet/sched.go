@@ -18,15 +18,35 @@ import (
 // window — overflow to the heap and migrate into the wheel as the
 // cursor advances past their horizon.
 //
-// Ordering contract (identical to the old global heap): events pop in
-// strictly nondecreasing (time, seq) order, where seq is the event's
-// canonical key (parallel.go). A non-empty bucket holds events of
-// exactly one absolute time (two times congruent mod wheelSize are
+// Ordering contract. Events pop in nondecreasing time, and the
+// arrivals at each router pop in (time, seq) order, where seq is the
+// event's canonical key (parallel.go). A non-empty bucket holds events
+// of exactly one absolute time (two times congruent mod wheelSize are
 // ≥ wheelSize apart, so they can never share the window), so only the
-// seq order within a bucket needs care: pushes arrive in whatever order
-// the run loop generates them, so a push that lands behind a larger key
-// marks its bucket unordered, and the bucket is sorted by seq when it
-// is next popped. Buckets filled in key order are never sorted.
+// order within a bucket needs care. How much of it is fixed depends on
+// the mode reset selects:
+//
+//   - Router order (the default). Within a cycle, events at different
+//     routers pop in whatever order they were pushed. An arrival
+//     handler touches only its own router's ports, the ejection ports
+//     of that router's endpoints, its own packet and routing stream and
+//     commutative counters; an injection touches only its endpoint,
+//     which has exactly one pending injection; a delivery touches only
+//     commutative counters. Any cross-router interleaving of one cycle
+//     therefore yields the same statistics as the total order — the
+//     argument that already makes results shard-invariant. A push that
+//     lands an arrival behind a larger arrival key of the same bucket
+//     marks the bucket unordered, and routerOrder fixes each router's
+//     subsequence in place, in one pass, when the bucket is next popped.
+//   - Strict order. Events pop in (time, seq) order across all
+//     routers, as a global heap would pop them: a push behind a larger
+//     key marks its bucket unordered, and sortEvents sorts it when it is
+//     next popped. UGAL-G (pathCost reads other routers' ports) and
+//     finite buffers (backpressure writes the upstream router's ports)
+//     make arrivals at different routers interact, so they run in this
+//     mode (Network.crossRouter).
+//
+// Buckets filled in order are never reordered.
 type scheduler struct {
 	// cur is the time cursor: every popped event had time ≤ cur, every
 	// queued event has time ≥ cur, and the wheel window is
@@ -38,8 +58,20 @@ type scheduler struct {
 	buckets  [][]event // wheelSize buckets of one cycle each
 	bhead    []int32   // per-bucket FIFO head (consumed prefix)
 	occ      []uint64  // occupancy bitmap over the buckets
-	unord    []uint64  // buckets holding a push that arrived out of seq order
+	unord    []uint64  // buckets holding a push that arrived out of order
 	overflow eventQueue
+
+	strict bool
+	// Router-order scratch (engine state, not charged to MemoryBytes):
+	// amax is each bucket's largest arrival key since it was last empty;
+	// stamp/last are each router's routerOrder pass and bucket position
+	// of its latest arrival in that pass; prev chains every arrival's
+	// position to the previous one of the same router.
+	amax  []int64
+	stamp []uint32
+	last  []int32
+	prev  []int32
+	epoch uint32
 }
 
 const (
@@ -49,14 +81,16 @@ const (
 	wheelWords = wheelSize / 64
 )
 
-// reset prepares the scheduler for a new run, retaining bucket and
-// heap capacity from earlier runs of the same Network.
-func (s *scheduler) reset() {
+// reset prepares the scheduler for a new run over the given number of
+// routers, in strict or router order, retaining bucket and heap
+// capacity from earlier runs of the same Network.
+func (s *scheduler) reset(routers int, strict bool) {
 	if s.buckets == nil {
 		s.buckets = make([][]event, wheelSize)
 		s.bhead = make([]int32, wheelSize)
 		s.occ = make([]uint64, wheelWords)
 		s.unord = make([]uint64, wheelWords)
+		s.amax = make([]int64, wheelSize)
 	}
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
@@ -66,6 +100,12 @@ func (s *scheduler) reset() {
 	clear(s.unord)
 	s.overflow = s.overflow[:0]
 	s.cur, s.count, s.wcount = 0, 0, 0
+	s.strict = strict
+	if !strict && len(s.stamp) != routers {
+		s.stamp = make([]uint32, routers)
+		s.last = make([]int32, routers)
+		s.epoch = 0
+	}
 }
 
 // push queues an event. The run loop never schedules into the past;
@@ -86,10 +126,21 @@ func (s *scheduler) push(e event) {
 func (s *scheduler) bucketPush(e event) {
 	b := int(e.time & wheelMask)
 	bk := s.buckets[b]
-	if n := len(bk); n == 0 {
+	n := len(bk)
+	if n == 0 {
 		s.occ[b>>6] |= 1 << uint(b&63)
-	} else if bk[n-1].seq > e.seq {
-		s.unord[b>>6] |= 1 << uint(b&63)
+		s.amax[b] = -1 // keys are nonnegative
+	}
+	if s.strict {
+		if n > 0 && bk[n-1].seq > e.seq {
+			s.unord[b>>6] |= 1 << uint(b&63)
+		}
+	} else if e.kind == evArrive {
+		if s.amax[b] > e.seq {
+			s.unord[b>>6] |= 1 << uint(b&63)
+		} else {
+			s.amax[b] = e.seq
+		}
 	}
 	s.buckets[b] = append(bk, e)
 	s.wcount++
@@ -123,18 +174,25 @@ func (s *scheduler) nextOccupied() int {
 	}
 }
 
-// popBefore pops the earliest event by (time, seq) only if its time
-// lies before end. It is the fused peek+pop of the run loop's windows:
-// one bitmap scan decides and extracts. A failed attempt may still
-// advance the cursor to the earliest queued time, which preserves
-// every invariant (cur never exceeds a queued event's time).
-func (s *scheduler) popBefore(end int64) (event, bool) {
+// popBefore pops the next event (see the ordering contract) only if
+// its time lies before end, and returns nil otherwise. It is the fused
+// peek+pop of the run loop's windows: one bitmap scan decides and
+// extracts. A failed attempt may still advance the cursor to the
+// earliest queued time, which preserves every invariant (cur never
+// exceeds a queued event's time).
+//
+// The event is returned by reference into its bucket and stays valid
+// until the next push; the caller copies it before handling it.
+// Returning the 40-byte event by value instead makes the caller reload
+// it as wide words right after takeFrom stored it as narrow fields — a
+// store-to-load-forwarding stall on every pop.
+func (s *scheduler) popBefore(end int64) *event {
 	if s.count == 0 {
-		return event{}, false
+		return nil
 	}
 	if s.wcount == 0 {
 		if s.overflow[0].time >= end {
-			return event{}, false
+			return nil
 		}
 		s.cur = s.overflow[0].time
 		s.migrate()
@@ -142,33 +200,82 @@ func (s *scheduler) popBefore(end int64) (event, bool) {
 	b := s.nextOccupied()
 	t := s.cur + (int64(b)-s.cur)&wheelMask
 	if t >= end {
-		return event{}, false
+		return nil
 	}
 	if t > s.cur {
 		s.cur = t
 		s.migrate()
 	}
-	return s.takeFrom(b), true
+	return s.takeFrom(b)
 }
 
 // takeFrom extracts the next event of bucket b, which the caller has
-// established is the head bucket of the wheel.
-func (s *scheduler) takeFrom(b int) event {
+// established is the head bucket of the wheel, ordering the bucket's
+// unconsumed suffix first if a push left it unordered.
+func (s *scheduler) takeFrom(b int) *event {
 	bk := s.buckets[b]
+	h := s.bhead[b]
 	if w, bit := b>>6, uint64(1)<<uint(b&63); s.unord[w]&bit != 0 {
-		sortEvents(bk[s.bhead[b]:])
+		if s.strict {
+			sortEvents(bk[h:])
+		} else {
+			s.routerOrder(bk[h:])
+		}
 		s.unord[w] &^= bit
 	}
-	e := bk[s.bhead[b]]
-	s.bhead[b]++
-	if int(s.bhead[b]) == len(bk) {
+	s.bhead[b] = h + 1
+	if int(h)+1 == len(bk) {
 		s.buckets[b] = bk[:0]
 		s.bhead[b] = 0
 		s.occ[b>>6] &^= 1 << uint(b&63)
 	}
 	s.count--
 	s.wcount--
-	return e
+	return &bk[h]
+}
+
+// routerOrder puts the arrivals of each router in es into seq order,
+// leaving every other event, and the set of positions each router's
+// arrivals occupy, where they are. One pass chains each arrival to the
+// previous arrival of its router (stamp/last, reset lazily by epoch)
+// and insertion-sorts it backwards along that chain, so the cost is
+// O(len(es)) plus the displacement within each router's chain —
+// typically one to three events long.
+func (s *scheduler) routerOrder(es []event) {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	if cap(s.prev) < len(es) {
+		s.prev = make([]int32, len(es), 2*len(es))
+	}
+	prev := s.prev[:len(es)]
+	for i := range es {
+		if es[i].kind != evArrive {
+			continue
+		}
+		r := es[i].at
+		if s.stamp[r] != s.epoch {
+			s.stamp[r] = s.epoch
+			s.last[r] = int32(i)
+			prev[i] = -1
+			continue
+		}
+		j := s.last[r]
+		prev[i] = j
+		s.last[r] = int32(i)
+		if es[j].seq < es[i].seq {
+			continue
+		}
+		e := es[i]
+		k := int32(i)
+		for ; j >= 0 && es[j].seq > e.seq; j = prev[j] {
+			es[k] = es[j]
+			k = j
+		}
+		es[k] = e
+	}
 }
 
 // peekTime returns the time of the earliest queued event without
@@ -189,11 +296,12 @@ func (s *scheduler) peekTime() int64 {
 // wheelBytes is the scheduler's fixed structure: bucket slice
 // headers, FIFO heads and the two bitmaps. Queued events are charged
 // separately, from the run's peak pending-event count (see
-// Network.MemoryBytes).
+// Network.MemoryBytes); the router-order scratch is engine state and
+// is not charged.
 const wheelBytes = wheelSize*(24+4) + 2*wheelWords*8
 
 // sortEvents orders es by seq, ascending. Keys are unique. It is the
-// scheduler's one superlinear step, run at most once per out-of-order
+// strict mode's one superlinear step, run at most once per out-of-order
 // push, so it is specialized to the event type (no comparator
 // indirection): quicksort with a median-of-three pivot down to short
 // runs, which insertion sort finishes. Recursing only into the smaller

@@ -186,9 +186,12 @@ type Network struct {
 	// onTopo, when set, is called after each topology event is applied
 	// (test hook for boundary invariant checks). onDeliver, when set, is
 	// called with every delivered message's latency (test hook; it runs
-	// on the delivering view's goroutine).
-	onTopo    func(now int64)
-	onDeliver func(lat int64)
+	// on the delivering view's goroutine). forceStrict makes the
+	// schedulers pop in the total (time, seq) order even where router
+	// order suffices (test hook for the order-equivalence tests).
+	onTopo      func(now int64)
+	onDeliver   func(lat int64)
+	forceStrict bool
 
 	// gens holds the per-endpoint streaming injection cursors of
 	// RunLoad (allocated once per instance, reseeded per run); each is

@@ -176,14 +176,15 @@ func TestRunBatchesPatternSkips(t *testing.T) {
 	}
 }
 
-// TestSchedulerMatchesHeap drives the calendar-queue scheduler and the
-// reference binary heap with an identical randomized push/pop script —
-// including far-future events beyond the wheel horizon and keys pushed
-// out of order — and requires identical pop sequences.
+// TestSchedulerMatchesHeap drives the calendar-queue scheduler in
+// strict order and the reference binary heap with an identical
+// randomized push/pop script — including far-future events beyond the
+// wheel horizon and keys pushed out of order — and requires identical
+// pop sequences.
 func TestSchedulerMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s scheduler
-	s.reset()
+	s.reset(97, true)
 	var ref eventQueue
 	now, seq := int64(0), int64(0)
 	push := func() {
@@ -206,7 +207,7 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 			push()
 			continue
 		}
-		got, _ := s.popBefore(math.MaxInt64)
+		got := *s.popBefore(math.MaxInt64)
 		want := ref.pop()
 		if got != want {
 			t.Fatalf("step %d: scheduler popped %+v, heap popped %+v", i, got, want)
@@ -214,7 +215,7 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 		now = got.time
 	}
 	for len(ref) > 0 {
-		got, _ := s.popBefore(math.MaxInt64)
+		got := *s.popBefore(math.MaxInt64)
 		want := ref.pop()
 		if got != want {
 			t.Fatalf("drain: scheduler popped %+v, heap popped %+v", got, want)
