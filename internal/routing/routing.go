@@ -38,10 +38,6 @@ const (
 	// random Valiant path using only local output-queue lengths at the
 	// source router, weighted by total hop count.
 	UGALL
-	// UGALG (UGAL-G) is the global-information variant of the UGAL
-	// family (§V): the source compares the total queueing backlog along
-	// a sampled minimal path and a sampled Valiant path.
-	UGALG
 )
 
 func (p Policy) String() string {
@@ -52,11 +48,14 @@ func (p Policy) String() string {
 		return "valiant"
 	case UGALL:
 		return "ugal-l"
-	case UGALG:
-		return "ugal-g"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
+
+// Valid reports whether p is one of the defined policies. Simulator
+// and sweep entry points reject any other value rather than route it
+// minimally under a "policy(N)" label.
+func (p Policy) Valid() bool { return p >= Minimal && p <= UGALL }
 
 // MarshalText renders the policy name, so JSON experiment output
 // carries "ugal-l" rather than an enum value.
@@ -73,10 +72,8 @@ func (p *Policy) UnmarshalText(text []byte) error {
 		*p = Valiant
 	case "ugal-l":
 		*p = UGALL
-	case "ugal-g":
-		*p = UGALG
 	default:
-		return fmt.Errorf("routing: unknown policy %q (want minimal, valiant, ugal-l or ugal-g)", text)
+		return fmt.Errorf("routing: unknown policy %q (want minimal, valiant or ugal-l)", text)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,7 +238,10 @@ func TestParseStoreRoundTrip(t *testing.T) {
 }
 
 func TestPolicyJSONRoundTrip(t *testing.T) {
-	for _, p := range []Policy{Minimal, Valiant, UGALL, UGALG} {
+	for _, p := range []Policy{Minimal, Valiant, UGALL} {
+		if !p.Valid() {
+			t.Errorf("%v reported invalid", p)
+		}
 		data, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
@@ -251,14 +255,24 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 		}
 	}
 	var p Policy
-	if err := p.UnmarshalText([]byte("fastest")); err == nil {
-		t.Error("UnmarshalText accepted an unknown policy")
+	for _, name := range []string{"fastest", "ugal-g"} {
+		err := p.UnmarshalText([]byte(name))
+		if err == nil {
+			t.Errorf("UnmarshalText accepted unknown policy %q", name)
+		} else if !strings.Contains(err.Error(), "minimal, valiant or ugal-l") {
+			t.Errorf("UnmarshalText(%q) error %q does not list the policies", name, err)
+		}
+	}
+	for _, bad := range []Policy{-1, UGALL + 1} {
+		if bad.Valid() {
+			t.Errorf("%v reported valid", bad)
+		}
 	}
 	// Struct-embedded round trip, as -json experiment rows carry it.
 	type row struct{ Policy Policy }
-	data, _ := json.Marshal(row{Policy: UGALG})
+	data, _ := json.Marshal(row{Policy: UGALL})
 	var back row
-	if err := json.Unmarshal(data, &back); err != nil || back.Policy != UGALG {
+	if err := json.Unmarshal(data, &back); err != nil || back.Policy != UGALL {
 		t.Errorf("struct round trip via %s failed: %v", data, err)
 	}
 }

@@ -10,54 +10,22 @@ import (
 	"repro/internal/topo"
 )
 
-// TestCrossRouterRunsPinned pins exact fixed-seed Stats of the two
-// configurations that keep the scheduler's total (time, seq) order —
-// UGAL-G and finite buffers — on the class-1 instance. A per-router
-// order would change them (UGAL-G's path sampling and backpressure both
-// see other routers' ports), so these numbers guard the strict mode.
-func TestCrossRouterRunsPinned(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	cases := []struct {
-		name    string
-		policy  routing.Policy
-		buffers int
-		want    Stats
-	}{
-		{"ugal-g", routing.UGALG, 0, Stats{
-			Offered: 10736, Delivered: 10736, MaxLatency: 418, MeanLatency: 169.85860655737704,
-			P99Latency: 284, Makespan: 802, TotalHops: 26177, MaxVC: 6, MeanHops: 2.4382451564828616,
-			ValiantTaken: 621, PatternSkips: 16, MemoryBytes: 615724,
-		}},
-		{"buffers", routing.Minimal, 2, Stats{
-			Offered: 10736, Delivered: 10736, MaxLatency: 352, MeanLatency: 168.54098360655738,
-			P99Latency: 274, Makespan: 806, TotalHops: 25491, MaxVC: 3, MeanHops: 2.3743479880774965,
-			PatternSkips: 16, MemoryBytes: 614164,
-		}},
-	}
-	for _, c := range cases {
-		nw, err := New(Config{Topo: inst.G, Concentration: 4, Seed: 1, Policy: c.policy, BufferPackets: c.buffers}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := nw.RunLoad(uniformPattern(nw.Endpoints()), 0.7, 16); !got.Equal(c.want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestRouterOrderMatchesStrict is the equivalence argument of the
-// scheduler's router order (sched.go), checked end to end: for every
-// policy that runs in router order, every run shape (static, under
-// churn, timed pattern under churn, motif rounds) and one and four
-// shards, forcing the total (time, seq) order gives Stats.Equal results,
-// with more than 8192 deliveries per run.
+// scheduler's router order (sched.go), checked end to end. Every want
+// below is the Stats of a run popped in the total (time, seq) order — a
+// global heap's order — recorded before the scheduler dropped that
+// mode. For every policy, every run shape (static, under churn, timed
+// pattern under churn, motif rounds) and one and four shards, router
+// order must reproduce those Stats exactly, with more than 8192
+// deliveries per run. The churn onsets (cycles 500 and 1000) fall
+// inside the runs, so the churn shapes sever packets in flight and the
+// timed pattern switches phase.
 func TestRouterOrderMatchesStrict(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
 	churn, err := fault.ChurnSpec{
 		Kind: fault.Links, Fraction: 0.02,
-		Period: 1500, Outage: 700, Repeats: 2, Seed: 7,
+		Period: 500, Outage: 200, Repeats: 2, Seed: 7,
 	}.Schedule(inst.G)
 	if err != nil {
 		t.Fatal(err)
@@ -73,45 +41,106 @@ func TestRouterOrderMatchesStrict(t *testing.T) {
 	}
 	uniform := uniformPattern(nep)
 	shifting := func(src int, now int64, rng *rand.Rand) int {
-		if (now/1500)%2 == 0 {
+		if (now/500)%2 == 0 {
 			return rng.Intn(nep)
 		}
 		return (src + 7) % nep
 	}
-	shapes := []struct {
-		name  string
+	shapes := map[string]struct {
 		sched fault.Schedule
 		run   func(nw *Network) (Stats, error)
 	}{
-		{"static", nil, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
-		{"churn", churn, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
-		{"timed", churn, func(nw *Network) (Stats, error) { return nw.RunLoadTimed(shifting, streamGateLoad, msgs), nil }},
-		{"batches", nil, func(nw *Network) (Stats, error) { return nw.RunBatches(rounds) }},
+		"static":  {nil, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
+		"churn":   {churn, func(nw *Network) (Stats, error) { return nw.RunLoad(uniform, streamGateLoad, msgs), nil }},
+		"timed":   {churn, func(nw *Network) (Stats, error) { return nw.RunLoadTimed(shifting, streamGateLoad, msgs), nil }},
+		"batches": {nil, func(nw *Network) (Stats, error) { return nw.RunBatches(rounds) }},
 	}
-	for _, policy := range []routing.Policy{routing.Minimal, routing.Valiant, routing.UGALL} {
-		for _, sh := range shapes {
-			for _, w := range []int{1, 4} {
-				var st [2]Stats
-				for i, strict := range []bool{false, true} {
-					nw, err := New(Config{
-						Topo: inst.G, Concentration: conc, Seed: 11, Workers: w,
-						Policy: policy, Schedule: sh.sched,
-					}, tab)
-					if err != nil {
-						t.Fatal(err)
-					}
-					nw.forceStrict = strict
-					if st[i], err = sh.run(nw); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if st[0].Delivered <= 8192 {
-					t.Fatalf("%v/%s/workers=%d: %d deliveries, want > 8192", policy, sh.name, w, st[0].Delivered)
-				}
-				if !st[0].Equal(st[1]) {
-					t.Errorf("%v/%s/workers=%d: router order differs from strict order:\n%+v\n%+v",
-						policy, sh.name, w, st[0], st[1])
-				}
+	cases := []struct {
+		policy routing.Policy
+		shape  string
+		want   Stats
+	}{
+		{routing.Minimal, "static", Stats{
+			Offered: 10738, Delivered: 10738, MaxLatency: 241, MeanLatency: 142.800894021233,
+			P99Latency: 200, Makespan: 1489, TotalHops: 25516, MaxVC: 3, MeanHops: 2.3762339355559696,
+			PatternSkips: 14, MemoryBytes: 371092,
+		}},
+		{routing.Minimal, "churn", Stats{
+			Offered: 10738, Delivered: 10710, Dropped: 28, MaxLatency: 241, MeanLatency: 142.98478057889824,
+			P99Latency: 200, Makespan: 1489, TotalHops: 25497, MaxVC: 4, MeanHops: 2.380672268907563,
+			PatternSkips: 14, SeveredInFlight: 28, MemoryBytes: 486172,
+		}},
+		{routing.Minimal, "timed", Stats{
+			Offered: 10744, Delivered: 10715, Dropped: 29, MaxLatency: 347, MeanLatency: 147.3668688754083,
+			P99Latency: 246, Makespan: 1530, TotalHops: 25417, MaxVC: 4, MeanHops: 2.3720951936537564,
+			PatternSkips: 8, SeveredInFlight: 29, MemoryBytes: 487020,
+		}},
+		{routing.Minimal, "batches", Stats{
+			Offered: 10736, Delivered: 10736, MaxLatency: 343, MeanLatency: 172.9051788375559,
+			P99Latency: 248, Makespan: 1210, TotalHops: 25485, MaxVC: 3, MeanHops: 2.37378912071535,
+			PatternSkips: 16, MemoryBytes: 334692,
+		}},
+		{routing.Valiant, "static", Stats{
+			Offered: 10738, Delivered: 10738, MaxLatency: 443, MeanLatency: 241.39485937791022,
+			P99Latency: 359, Makespan: 1566, TotalHops: 50840, MaxVC: 6, MeanHops: 4.734587446451854,
+			ValiantTaken: 10678, PatternSkips: 14, MemoryBytes: 499772,
+		}},
+		{routing.Valiant, "churn", Stats{
+			Offered: 10738, Delivered: 10687, Dropped: 51, MaxLatency: 443, MeanLatency: 241.8940769158791,
+			P99Latency: 360, Makespan: 1566, TotalHops: 50681, MaxVC: 7, MeanHops: 4.742303733508001,
+			ValiantTaken: 10678, PatternSkips: 14, SeveredInFlight: 51, MemoryBytes: 614852,
+		}},
+		{routing.Valiant, "timed", Stats{
+			Offered: 10744, Delivered: 10691, Dropped: 53, MaxLatency: 442, MeanLatency: 243.21410532223365,
+			P99Latency: 362, Makespan: 1582, TotalHops: 50882, MaxVC: 7, MeanHops: 4.75933027780376,
+			ValiantTaken: 10706, PatternSkips: 8, SeveredInFlight: 53, MemoryBytes: 614844,
+		}},
+		{routing.Valiant, "batches", Stats{
+			Offered: 10736, Delivered: 10736, MaxLatency: 453, MeanLatency: 262.3097056631893,
+			P99Latency: 358, Makespan: 1685, TotalHops: 50870, MaxVC: 6, MeanHops: 4.738263785394933,
+			ValiantTaken: 10683, PatternSkips: 16, MemoryBytes: 335572,
+		}},
+		{routing.UGALL, "static", Stats{
+			Offered: 10738, Delivered: 10738, MaxLatency: 384, MeanLatency: 160.64350903333954,
+			P99Latency: 284, Makespan: 1489, TotalHops: 30968, MaxVC: 6, MeanHops: 2.8839634941329857,
+			ValiantTaken: 2338, PatternSkips: 14, MemoryBytes: 393448,
+		}},
+		{routing.UGALL, "churn", Stats{
+			Offered: 10738, Delivered: 10710, Dropped: 28, MaxLatency: 384, MeanLatency: 160.86479925303453,
+			P99Latency: 284, Makespan: 1489, TotalHops: 30930, MaxVC: 7, MeanHops: 2.887955182072829,
+			ValiantTaken: 2317, PatternSkips: 14, SeveredInFlight: 28, MemoryBytes: 508528,
+		}},
+		{routing.UGALL, "timed", Stats{
+			Offered: 10744, Delivered: 10715, Dropped: 29, MaxLatency: 384, MeanLatency: 165.79589360709286,
+			P99Latency: 286, Makespan: 1530, TotalHops: 32355, MaxVC: 7, MeanHops: 3.0195986934204386,
+			ValiantTaken: 2879, PatternSkips: 8, SeveredInFlight: 29, MemoryBytes: 508528,
+		}},
+		{routing.UGALL, "batches", Stats{
+			Offered: 10736, Delivered: 10736, MaxLatency: 359, MeanLatency: 188.4883569299553,
+			P99Latency: 309, Makespan: 1394, TotalHops: 31916, MaxVC: 6, MeanHops: 2.972801788375559,
+			ValiantTaken: 2695, PatternSkips: 16, MemoryBytes: 334820,
+		}},
+	}
+	for _, c := range cases {
+		sh := shapes[c.shape]
+		for _, w := range []int{1, 4} {
+			nw, err := New(Config{
+				Topo: inst.G, Concentration: conc, Seed: 11, Workers: w,
+				Policy: c.policy, Schedule: sh.sched,
+			}, tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sh.run(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Delivered <= 8192 {
+				t.Fatalf("%v/%s/workers=%d: %d deliveries, want > 8192", c.policy, c.shape, w, got.Delivered)
+			}
+			if !got.Equal(c.want) {
+				t.Errorf("%v/%s/workers=%d: router order differs from the total order:\n got %+v\nwant %+v",
+					c.policy, c.shape, w, got, c.want)
 			}
 		}
 	}
@@ -129,7 +158,7 @@ func TestSchedulerRouterOrder(t *testing.T) {
 	const routers = 97
 	rng := rand.New(rand.NewSource(9))
 	var s scheduler
-	s.reset(routers, false)
+	s.reset(routers)
 	pending := make(map[int64]event)
 	type key struct{ time, seq int64 }
 	lastArrival := make([]key, routers)

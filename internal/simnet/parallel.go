@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/partition"
-	"repro/internal/routing"
 )
 
 // This file is the run engine behind every simulation: RunLoad,
@@ -62,9 +61,7 @@ import (
 // is free, and a router's event order does not depend on which other
 // routers share its view. The simulated schedule — port contention,
 // adaptive decisions, everything — is therefore a pure function of the
-// seed, identical for every shard count. Cross-router configurations
-// (UGAL-G, finite buffers) run on one shard in the total (time, key)
-// order.
+// seed, identical for every shard count.
 type parRun struct {
 	shardOf []int32 // router id -> owning view
 	msgs    int64   // msgsPerEP, the stride of the canonical id space
@@ -107,21 +104,9 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// crossRouter reports whether an event at one router reads or writes
-// port state of other routers: UGAL-G samples backlog along whole paths,
-// and finite buffers write backpressure into the upstream router's
-// ports. Such runs need the total event order and one shard.
-func (nw *Network) crossRouter() bool {
-	return nw.cfg.Policy == routing.UGALG || nw.cfg.BufferPackets > 0
-}
-
-// shardCount resolves Config.Workers to the run's shard count.
-// Cross-router configurations (UGAL-G, finite buffers), Workers <= 1
-// and topologies too small to split are one shard.
+// shardCount resolves Config.Workers to the run's shard count:
+// Workers <= 1 and topologies too small to split are one shard.
 func (nw *Network) shardCount() int {
-	if nw.crossRouter() {
-		return 1
-	}
 	return max(1, min(nw.cfg.Workers, nw.n/minShardRouters))
 }
 
@@ -214,11 +199,11 @@ func (nw *Network) bind(v *Network, s int32) {
 	v.dead, v.lats, v.tenants, v.live = nw.dead, nw.lats, nw.tenants, nw.live
 	v.portFree, v.injFree, v.ejFree = nw.portFree, nw.injFree, nw.ejFree
 	v.gens, v.pattern, v.tpattern, v.meanGap = nw.gens, nw.pattern, nw.tpattern, nw.meanGap
-	v.onDeliver, v.forceStrict, v.par, v.shardID = nw.onDeliver, nw.forceStrict, nw.par, s
+	v.onDeliver, v.par, v.shardID = nw.onDeliver, nw.par, s
 	if v.rng == nil {
 		v.rng = rand.New(&v.pktSrc)
 	}
-	v.sched.reset(nw.n, nw.crossRouter() || nw.forceStrict)
+	v.sched.reset(nw.n)
 	v.packets = v.packets[:0]
 	v.free = v.free[:0]
 	v.lat.reset()

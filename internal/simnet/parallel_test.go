@@ -319,46 +319,10 @@ func TestScheduleParallelSpeedupGate(t *testing.T) {
 	}
 }
 
-// Configurations that touch other routers' port state clamp to one
-// shard and reproduce the Workers=0 statistics exactly.
+// TestParallelFallbacks: tiny topologies cannot shard, since fewer
+// than minShardRouters per worker would remain. A 6-node ring yields
+// at most one shard, so the engine must fall back to serial outright.
 func TestParallelFallbacks(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	mk := func(cfg Config) *Network {
-		cfg.Topo = inst.G
-		cfg.Concentration = 2
-		cfg.Seed = 11
-		nw, err := New(cfg, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"ugal-g", Config{Policy: routing.UGALG, Workers: 4}},
-		{"finite-buffers", Config{BufferPackets: 4, Workers: 4}},
-	}
-	for _, tc := range cases {
-		par := mk(tc.cfg)
-		if got := par.shardCount(); got != 1 {
-			t.Fatalf("%s: shardCount() = %d, want one shard", tc.name, got)
-		}
-		cfgSerial := tc.cfg
-		cfgSerial.Workers = 0
-		ser := mk(cfgSerial)
-		a := par.RunLoad(uniformPattern(par.Endpoints()), 0.2, 8)
-		b := ser.RunLoad(uniformPattern(ser.Endpoints()), 0.2, 8)
-		if !a.Equal(b) {
-			t.Errorf("%s: fallback run differs from serial:\n%+v\n%+v", tc.name, a, b)
-		}
-	}
-
-	// Tiny topologies cannot shard: fewer than minShardRouters per
-	// worker would remain. A 6-node ring yields at most one shard, so
-	// the engine must fall back to serial outright.
 	ring := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	tiny, err := New(Config{Topo: ring, Workers: 8, Seed: 1}, routing.NewTable(ring))
 	if err != nil {
@@ -461,17 +425,17 @@ func BenchmarkRunLoadParallel(b *testing.B) {
 }
 
 // TestStatsIdenticalForEveryWorkerCount is the one-engine contract:
-// for every policy — UGAL-G and finite buffers included, which always
-// run on one shard — and every run shape (static, under churn, with a
+// for every policy and every run shape (static, under churn, with a
 // timed pattern under churn, motif rounds), every Workers value gives
 // Stats.Equal results: MemoryBytes included, and with more than 8192
-// deliveries per run so the latency digests fold across shards.
+// deliveries per run so the latency digests fold across shards. The
+// churn onsets (cycles 500 and 1000) fall inside the runs.
 func TestStatsIdenticalForEveryWorkerCount(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
 	churn, err := fault.ChurnSpec{
 		Kind: fault.Links, Fraction: 0.02,
-		Period: 1500, Outage: 700, Repeats: 2, Seed: 7,
+		Period: 500, Outage: 200, Repeats: 2, Seed: 7,
 	}.Schedule(inst.G)
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +451,7 @@ func TestStatsIdenticalForEveryWorkerCount(t *testing.T) {
 	}
 	uniform := uniformPattern(nep)
 	shifting := func(src int, now int64, rng *rand.Rand) int {
-		if (now/1500)%2 == 0 {
+		if (now/500)%2 == 0 {
 			return rng.Intn(nep)
 		}
 		return (src + 7) % nep
@@ -502,24 +466,13 @@ func TestStatsIdenticalForEveryWorkerCount(t *testing.T) {
 		{"timed", churn, func(nw *Network) (Stats, error) { return nw.RunLoadTimed(shifting, streamGateLoad, msgs), nil }},
 		{"batches", nil, func(nw *Network) (Stats, error) { return nw.RunBatches(rounds) }},
 	}
-	configs := []struct {
-		name    string
-		policy  routing.Policy
-		buffers int
-	}{
-		{"minimal", routing.Minimal, 0},
-		{"valiant", routing.Valiant, 0},
-		{"ugal-l", routing.UGALL, 0},
-		{"ugal-g", routing.UGALG, 0},
-		{"buffers", routing.Minimal, 4},
-	}
-	for _, c := range configs {
+	for _, policy := range []routing.Policy{routing.Minimal, routing.Valiant, routing.UGALL} {
 		for _, sh := range shapes {
 			var base Stats
 			for i, w := range []int{0, 1, 2, 4, 8} {
 				nw, err := New(Config{
 					Topo: inst.G, Concentration: conc, Seed: 11, Workers: w,
-					Policy: c.policy, BufferPackets: c.buffers, Schedule: sh.sched,
+					Policy: policy, Schedule: sh.sched,
 				}, tab)
 				if err != nil {
 					t.Fatal(err)
@@ -530,11 +483,11 @@ func TestStatsIdenticalForEveryWorkerCount(t *testing.T) {
 				}
 				if i == 0 {
 					if st.Delivered <= 8192 {
-						t.Fatalf("%s/%s: %d deliveries, want > 8192", c.name, sh.name, st.Delivered)
+						t.Fatalf("%v/%s: %d deliveries, want > 8192", policy, sh.name, st.Delivered)
 					}
 					base = st
 				} else if !st.Equal(base) {
-					t.Errorf("%s/%s: workers=%d stats differ from workers=0:\n%+v\n%+v", c.name, sh.name, w, st, base)
+					t.Errorf("%v/%s: workers=%d stats differ from workers=0:\n%+v\n%+v", policy, sh.name, w, st, base)
 				}
 			}
 		}

@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // scheduler is the event queue of the run loop: a calendar queue
 // (time wheel) of one-cycle buckets over a sliding window of wheelSize
@@ -13,40 +9,30 @@ import (
 // The model schedules almost every event a few tens of cycles ahead
 // (serialization + link latency), so the wheel turns push and pop into
 // O(1) bucket appends and bitmap scans instead of the O(log n) sift of
-// a global heap over every in-flight event. Far-future events — deep
-// backpressure stalls, light-load injection gaps longer than the
-// window — overflow to the heap and migrate into the wheel as the
-// cursor advances past their horizon.
+// a global heap over every in-flight event. Far-future events — hops
+// queued behind deep output-port backlogs, light-load injection gaps
+// longer than the window — overflow to the heap and migrate into the
+// wheel as the cursor advances past their horizon.
 //
 // Ordering contract. Events pop in nondecreasing time, and the
 // arrivals at each router pop in (time, seq) order, where seq is the
-// event's canonical key (parallel.go). A non-empty bucket holds events
-// of exactly one absolute time (two times congruent mod wheelSize are
-// ≥ wheelSize apart, so they can never share the window), so only the
-// order within a bucket needs care. How much of it is fixed depends on
-// the mode reset selects:
+// event's canonical key (parallel.go). Nothing else is ordered: within
+// a cycle, events at different routers pop in whatever order they were
+// pushed. An arrival handler touches only its own router's ports, the
+// ejection ports of that router's endpoints, its own packet and routing
+// stream and commutative counters; an injection touches only its
+// endpoint, which has exactly one pending injection; a delivery touches
+// only commutative counters. Any cross-router interleaving of one cycle
+// therefore yields the same statistics as the total (time, seq) order —
+// the argument that also makes results shard-invariant.
 //
-//   - Router order (the default). Within a cycle, events at different
-//     routers pop in whatever order they were pushed. An arrival
-//     handler touches only its own router's ports, the ejection ports
-//     of that router's endpoints, its own packet and routing stream and
-//     commutative counters; an injection touches only its endpoint,
-//     which has exactly one pending injection; a delivery touches only
-//     commutative counters. Any cross-router interleaving of one cycle
-//     therefore yields the same statistics as the total order — the
-//     argument that already makes results shard-invariant. A push that
-//     lands an arrival behind a larger arrival key of the same bucket
-//     marks the bucket unordered, and routerOrder fixes each router's
-//     subsequence in place, in one pass, when the bucket is next popped.
-//   - Strict order. Events pop in (time, seq) order across all
-//     routers, as a global heap would pop them: a push behind a larger
-//     key marks its bucket unordered, and sortEvents sorts it when it is
-//     next popped. UGAL-G (pathCost reads other routers' ports) and
-//     finite buffers (backpressure writes the upstream router's ports)
-//     make arrivals at different routers interact, so they run in this
-//     mode (Network.crossRouter).
-//
-// Buckets filled in order are never reordered.
+// A non-empty bucket holds events of exactly one absolute time (two
+// times congruent mod wheelSize are ≥ wheelSize apart, so they can
+// never share the window), so only the order within a bucket needs
+// care. A push that lands an arrival behind a larger arrival key of the
+// same bucket marks the bucket unordered, and routerOrder fixes each
+// router's subsequence in place, in one pass, when the bucket is next
+// popped. Buckets filled in order are never reordered.
 type scheduler struct {
 	// cur is the time cursor: every popped event had time ≤ cur, every
 	// queued event has time ≥ cur, and the wheel window is
@@ -61,7 +47,6 @@ type scheduler struct {
 	unord    []uint64  // buckets holding a push that arrived out of order
 	overflow eventQueue
 
-	strict bool
 	// Router-order scratch (engine state, not charged to MemoryBytes):
 	// amax is each bucket's largest arrival key since it was last empty;
 	// stamp/last are each router's routerOrder pass and bucket position
@@ -82,9 +67,9 @@ const (
 )
 
 // reset prepares the scheduler for a new run over the given number of
-// routers, in strict or router order, retaining bucket and heap
-// capacity from earlier runs of the same Network.
-func (s *scheduler) reset(routers int, strict bool) {
+// routers, retaining bucket and heap capacity from earlier runs of the
+// same Network.
+func (s *scheduler) reset(routers int) {
 	if s.buckets == nil {
 		s.buckets = make([][]event, wheelSize)
 		s.bhead = make([]int32, wheelSize)
@@ -100,8 +85,7 @@ func (s *scheduler) reset(routers int, strict bool) {
 	clear(s.unord)
 	s.overflow = s.overflow[:0]
 	s.cur, s.count, s.wcount = 0, 0, 0
-	s.strict = strict
-	if !strict && len(s.stamp) != routers {
+	if len(s.stamp) != routers {
 		s.stamp = make([]uint32, routers)
 		s.last = make([]int32, routers)
 		s.epoch = 0
@@ -131,11 +115,7 @@ func (s *scheduler) bucketPush(e event) {
 		s.occ[b>>6] |= 1 << uint(b&63)
 		s.amax[b] = -1 // keys are nonnegative
 	}
-	if s.strict {
-		if n > 0 && bk[n-1].seq > e.seq {
-			s.unord[b>>6] |= 1 << uint(b&63)
-		}
-	} else if e.kind == evArrive {
+	if e.kind == evArrive {
 		if s.amax[b] > e.seq {
 			s.unord[b>>6] |= 1 << uint(b&63)
 		} else {
@@ -216,11 +196,7 @@ func (s *scheduler) takeFrom(b int) *event {
 	bk := s.buckets[b]
 	h := s.bhead[b]
 	if w, bit := b>>6, uint64(1)<<uint(b&63); s.unord[w]&bit != 0 {
-		if s.strict {
-			sortEvents(bk[h:])
-		} else {
-			s.routerOrder(bk[h:])
-		}
+		s.routerOrder(bk[h:])
 		s.unord[w] &^= bit
 	}
 	s.bhead[b] = h + 1
@@ -299,63 +275,3 @@ func (s *scheduler) peekTime() int64 {
 // Network.MemoryBytes); the router-order scratch is engine state and
 // is not charged.
 const wheelBytes = wheelSize*(24+4) + 2*wheelWords*8
-
-// sortEvents orders es by seq, ascending. Keys are unique. It is the
-// strict mode's one superlinear step, run at most once per out-of-order
-// push, so it is specialized to the event type (no comparator
-// indirection): quicksort with a median-of-three pivot down to short
-// runs, which insertion sort finishes. Recursing only into the smaller
-// side bounds the stack; a bucket whose partitions keep degenerating
-// (depth past 2·log2 n) is handed to slices.SortFunc, so the cost stays
-// O(k log k) for every bucket size k — motif rounds put a whole round's
-// injections into a few large buckets.
-func sortEvents(es []event) {
-	depth := 2 * bits.Len(uint(len(es)))
-	for len(es) > 12 {
-		if depth == 0 {
-			slices.SortFunc(es, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
-			return
-		}
-		depth--
-		n, m := len(es)-1, len(es)/2
-		if es[m].seq < es[0].seq {
-			es[m], es[0] = es[0], es[m]
-		}
-		if es[n].seq < es[0].seq {
-			es[n], es[0] = es[0], es[n]
-		}
-		if es[n].seq < es[m].seq {
-			es[n], es[m] = es[m], es[n]
-		}
-		p := es[m].seq
-		i, j := 0, n
-		for i <= j {
-			for es[i].seq < p {
-				i++
-			}
-			for es[j].seq > p {
-				j--
-			}
-			if i <= j {
-				es[i], es[j] = es[j], es[i]
-				i++
-				j--
-			}
-		}
-		if j+1 < len(es)-i {
-			sortEvents(es[:j+1])
-			es = es[i:]
-		} else {
-			sortEvents(es[i:])
-			es = es[:j+1]
-		}
-	}
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i
-		for ; j > 0 && es[j-1].seq > e.seq; j-- {
-			es[j] = es[j-1]
-		}
-		es[j] = e
-	}
-}

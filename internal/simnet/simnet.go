@@ -68,11 +68,6 @@ type Config struct {
 	// takes the Valiant path only if its weighted backlog is smaller by
 	// more than this many cycles). Default 0.
 	UGALThreshold int64
-	// BufferPackets bounds each output queue to this many packets;
-	// 0 means unbounded. With finite buffers a full downstream queue
-	// holds the packet in its upstream buffer, propagating backpressure
-	// (the coarse analogue of the paper's 64 KB router buffers).
-	BufferPackets int
 	// DeadRouters marks failed routers (nil = none). A dead router
 	// cannot source, sink or switch traffic: messages to or from its
 	// endpoints are dropped at the NIC and counted in Stats.Dropped.
@@ -104,9 +99,8 @@ type Config struct {
 	// engine (parallel.go), whose event order and routing randomness
 	// derive from canonical message identities, so Stats are identical
 	// for every Workers value (DESIGN.md §10). Workers only trades
-	// wall-clock time for cores. Configurations that read or write port
-	// state of other routers (UGAL-G, finite buffers) and topologies too
-	// small to split run on one shard.
+	// wall-clock time for cores. A topology too small to give every
+	// shard four routers runs on fewer shards.
 	Workers int
 }
 
@@ -186,12 +180,9 @@ type Network struct {
 	// onTopo, when set, is called after each topology event is applied
 	// (test hook for boundary invariant checks). onDeliver, when set, is
 	// called with every delivered message's latency (test hook; it runs
-	// on the delivering view's goroutine). forceStrict makes the
-	// schedulers pop in the total (time, seq) order even where router
-	// order suffices (test hook for the order-equivalence tests).
-	onTopo      func(now int64)
-	onDeliver   func(lat int64)
-	forceStrict bool
+	// on the delivering view's goroutine).
+	onTopo    func(now int64)
+	onDeliver func(lat int64)
 
 	// gens holds the per-endpoint streaming injection cursors of
 	// RunLoad (allocated once per instance, reseeded per run); each is
@@ -278,8 +269,9 @@ type event struct {
 	at   int32 // router id (endpoint id for evDeliver/evInject)
 	kind int8
 	pkt  int32 // index into Network.packets (unused for evInject)
-	// Upstream position for finite-buffer backpressure: the router/slot
-	// (or NIC injection port when fromR = -1) the packet came through.
+	// The router and port slot an arrival left through, read only by
+	// handle's severed-in-flight check; fromR = -1 marks a hop from the
+	// NIC, which has no cuttable link.
 	fromR    int32
 	fromSlot int32
 }
@@ -410,6 +402,9 @@ func New(cfg Config, table *routing.Table) (*Network, error) {
 		return nil, fmt.Errorf("simnet: routing table built for a different graph")
 	}
 	n := cfg.Topo.N()
+	if !cfg.Policy.Valid() {
+		return nil, fmt.Errorf("simnet: unknown routing policy %d", int(cfg.Policy))
+	}
 	if cfg.DeadRouters != nil && len(cfg.DeadRouters) != n {
 		return nil, fmt.Errorf("simnet: DeadRouters length %d, want %d", len(cfg.DeadRouters), n)
 	}
@@ -643,7 +638,7 @@ func (nw *Network) inject(pi int32, now int64) {
 	}
 	nw.injFree[ep] = start + nw.cfg.PacketFlits
 	arrive := start + nw.cfg.PacketFlits + nw.nicLat()
-	nw.push(event{time: arrive, at: nw.routerOf(ep), kind: evArrive, pkt: pi, fromR: -1, fromSlot: ep})
+	nw.push(event{time: arrive, at: nw.routerOf(ep), kind: evArrive, pkt: pi, fromR: -1})
 }
 
 // fireInjection services one endpoint's streaming injection cursor:
@@ -774,51 +769,7 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 			p.interm = -1
 			p.phase = 1
 		}
-	case routing.UGALG:
-		if p.dstRouter == r {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		interm := nw.chooseValiantIntermediate(r, p.dstRouter)
-		if interm < 0 {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		cMin, okMin := nw.pathCost(int(r), int(p.dstRouter), now)
-		cVia, okVia := nw.pathCost(int(r), int(interm), now)
-		cRest, okRest := nw.pathCost(int(interm), int(p.dstRouter), now)
-		if !okMin || !okVia || !okRest {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		if cVia+cRest+nw.cfg.UGALThreshold < cMin {
-			p.interm = interm
-			p.phase = 0
-			nw.stats.ValiantTaken++
-		} else {
-			p.interm = -1
-			p.phase = 1
-		}
 	}
-}
-
-// pathCost samples one shortest path and sums queueing backlog plus
-// serialization along it — the global channel-state estimate UGAL-G is
-// allowed to use.
-func (nw *Network) pathCost(src, dst int, now int64) (int64, bool) {
-	var cost int64
-	for v := int32(src); v != int32(dst); {
-		slot := nw.nextSlot(v, int32(dst))
-		if slot < 0 {
-			return 0, false
-		}
-		cost += nw.portBacklog(v, slot, now) + nw.cfg.PacketFlits
-		v = nw.cfg.Topo.Neighbors(int(v))[slot]
-	}
-	return cost, true
 }
 
 // nextSlot draws the port slot of a uniformly random shortest-path next
@@ -850,10 +801,8 @@ func (nw *Network) portBacklog(r int32, slot int, now int64) int64 {
 	return max(nw.portFree[r][slot]-now, 0)
 }
 
-// arriveAtRouter routes a packet one hop further. from identifies the
-// upstream buffer the packet occupies until it is admitted downstream
-// (finite-buffer backpressure).
-func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot int32) {
+// arriveAtRouter routes a packet one hop further.
+func (nw *Network) arriveAtRouter(r int32, pi int32, now int64) {
 	p := &nw.packets[pi]
 	// Phase handoff at the Valiant intermediate.
 	if p.phase == 0 && r == p.interm {
@@ -878,25 +827,7 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 		return
 	}
 	next := nw.cfg.Topo.Neighbors(int(r))[slot]
-	admit := now
-	if nw.cfg.BufferPackets > 0 {
-		// Queue admission: wait until the output queue drains below its
-		// capacity; meanwhile the packet occupies the upstream buffer,
-		// holding that port busy (backpressure).
-		if earliest := nw.portFree[r][slot] - int64(nw.cfg.BufferPackets)*nw.cfg.PacketFlits; earliest > admit {
-			admit = earliest
-			if fromR >= 0 {
-				if nw.portFree[fromR][fromSlot] < admit {
-					nw.portFree[fromR][fromSlot] = admit
-				}
-			} else if fromSlot >= 0 {
-				if nw.injFree[fromSlot] < admit {
-					nw.injFree[fromSlot] = admit
-				}
-			}
-		}
-	}
-	start := admit + nw.cfg.RouterLatency
+	start := now + nw.cfg.RouterLatency
 	if nw.portFree[r][slot] > start {
 		start = nw.portFree[r][slot]
 	}
@@ -929,7 +860,7 @@ func (nw *Network) handle(e event) {
 			// First router touch: fix the path shape.
 			nw.decidePolicy(p, e.at, e.time)
 		}
-		nw.arriveAtRouter(e.at, e.pkt, e.time, e.fromR, e.fromSlot)
+		nw.arriveAtRouter(e.at, e.pkt, e.time)
 	case evDeliver:
 		p := &nw.packets[e.pkt]
 		if nw.live != nil && nw.live.deadRun[p.dstRouter] {

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -236,6 +237,19 @@ func TestNewRejectsMismatchedTable(t *testing.T) {
 	}
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("nil topo should be rejected")
+	}
+}
+
+// TestNewRejectsUnknownPolicy: a value outside the defined policies is
+// an error, not a run that routes minimally under a "policy(N)" label.
+func TestNewRejectsUnknownPolicy(t *testing.T) {
+	g := lineGraph(3)
+	tab := routing.NewTable(g)
+	for _, p := range []routing.Policy{-1, routing.UGALL + 1} {
+		_, err := New(Config{Topo: g, Policy: p}, tab)
+		if err == nil || !strings.Contains(err.Error(), "unknown routing policy") {
+			t.Errorf("New(Policy %d) error = %v, want unknown routing policy", int(p), err)
+		}
 	}
 }
 

@@ -176,56 +176,6 @@ func TestRunBatchesPatternSkips(t *testing.T) {
 	}
 }
 
-// TestSchedulerMatchesHeap drives the calendar-queue scheduler in
-// strict order and the reference binary heap with an identical
-// randomized push/pop script — including far-future events beyond the
-// wheel horizon and keys pushed out of order — and requires identical
-// pop sequences.
-func TestSchedulerMatchesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var s scheduler
-	s.reset(97, true)
-	var ref eventQueue
-	now, seq := int64(0), int64(0)
-	push := func() {
-		dt := int64(rng.Intn(40)) // mostly inside the wheel window
-		switch rng.Intn(10) {
-		case 0:
-			dt = int64(rng.Intn(8 * wheelSize)) // far future: overflow path
-		case 1:
-			dt = 0 // same-cycle push
-		}
-		// Keys are unique but arrive out of order (an odd multiplier is
-		// a bijection mod 2^31), so same-time buckets need sorting.
-		e := event{time: now + dt, seq: seq * 2654435761 % (1 << 31), at: int32(seq % 97), kind: int8(seq % 3)}
-		seq++
-		s.push(e)
-		ref.push(e)
-	}
-	for i := 0; i < 20_000; i++ {
-		if len(ref) == 0 || (s.count < 400 && rng.Intn(3) > 0) {
-			push()
-			continue
-		}
-		got := *s.popBefore(math.MaxInt64)
-		want := ref.pop()
-		if got != want {
-			t.Fatalf("step %d: scheduler popped %+v, heap popped %+v", i, got, want)
-		}
-		now = got.time
-	}
-	for len(ref) > 0 {
-		got := *s.popBefore(math.MaxInt64)
-		want := ref.pop()
-		if got != want {
-			t.Fatalf("drain: scheduler popped %+v, heap popped %+v", got, want)
-		}
-	}
-	if s.count != 0 {
-		t.Fatalf("scheduler count %d after drain", s.count)
-	}
-}
-
 // TestLatDigestExact: the digest's quantile and mean are exact, and
 // merging digests of a partition of the samples — per shard, per
 // tenant — gives exactly the digest of the whole.
@@ -280,56 +230,50 @@ func disconnectedNet(t *testing.T, policy routing.Policy) *Network {
 	return nw
 }
 
-// TestPathCostUnreachable: UGAL-G's whole-path probe must report
-// failure (not a bogus zero cost) when the sampled path crosses a
-// partition, so decidePolicy falls back to minimal routing.
-func TestPathCostUnreachable(t *testing.T) {
-	nw := disconnectedNet(t, routing.UGALG)
-	nw.reset()
-	v := nw.begin(0)[0]
-	if cost, ok := v.pathCost(0, 2, 0); ok {
-		t.Errorf("pathCost across components reported ok with cost %d", cost)
-	}
-	if cost, ok := v.pathCost(0, 1, 0); !ok || cost <= 0 {
-		t.Errorf("pathCost within component = (%d, %v), want positive cost", cost, ok)
-	}
-}
-
-// TestUGALGMinimalFallbackNoIntermediate: with no viable Valiant
-// intermediate (two-router graph: every candidate is src or dst),
-// UGAL-G must settle on the minimal path instead of diverting.
-func TestUGALGMinimalFallbackNoIntermediate(t *testing.T) {
+// TestMinimalFallbackNoIntermediate: with no viable Valiant
+// intermediate (two-router graph: every candidate is src or dst), the
+// non-minimal policies must settle on the minimal path instead of
+// diverting.
+func TestMinimalFallbackNoIntermediate(t *testing.T) {
 	g := lineGraph(2)
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 1, Policy: routing.UGALG, Seed: 2}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.reset()
-	v := nw.begin(0)[0]
-	p := packet{srcEP: 0, dstEP: 1, dstRouter: 1, interm: -2}
-	v.decidePolicy(&p, 0, 0)
-	if p.interm != -1 || p.phase != 1 {
-		t.Errorf("UGAL-G without intermediates: interm=%d phase=%d, want minimal fallback", p.interm, p.phase)
-	}
-	if v.stats.ValiantTaken != 0 {
-		t.Errorf("ValiantTaken %d on the fallback path", v.stats.ValiantTaken)
+	for _, policy := range []routing.Policy{routing.Valiant, routing.UGALL} {
+		t.Run(policy.String(), func(t *testing.T) {
+			nw, err := New(Config{Topo: g, Concentration: 1, Policy: policy, Seed: 2}, tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.reset()
+			v := nw.begin(0)[0]
+			p := packet{srcEP: 0, dstEP: 1, dstRouter: 1, interm: -2}
+			v.decidePolicy(&p, 0, 0)
+			if p.interm != -1 || p.phase != 1 {
+				t.Errorf("no intermediates: interm=%d phase=%d, want minimal fallback", p.interm, p.phase)
+			}
+			if v.stats.ValiantTaken != 0 {
+				t.Errorf("ValiantTaken %d on the fallback path", v.stats.ValiantTaken)
+			}
+		})
 	}
 }
 
-// TestUGALGDamagedRun: an end-to-end UGAL-G run across a partitioned
-// topology must deliver the reachable traffic and drop the rest — no
-// panic, no stranded packets.
-func TestUGALGDamagedRun(t *testing.T) {
-	nw := disconnectedNet(t, routing.UGALG)
-	st := mustBatches(t, nw, [][]Message{{
-		{SrcEP: 0, DstEP: 1}, // within component A
-		{SrcEP: 0, DstEP: 2}, // crosses the partition: dropped
-		{SrcEP: 2, DstEP: 3}, // within component B
-	}})
-	if st.Offered != 3 || st.Delivered != 2 || st.Dropped != 1 {
-		t.Errorf("offered/delivered/dropped = %d/%d/%d want 3/2/1",
-			st.Offered, st.Delivered, st.Dropped)
+// TestDamagedRunNonMinimal: an end-to-end Valiant or UGAL-L run across
+// a partitioned topology must deliver the reachable traffic and drop
+// the rest — no panic, no stranded packets.
+func TestDamagedRunNonMinimal(t *testing.T) {
+	for _, policy := range []routing.Policy{routing.Valiant, routing.UGALL} {
+		t.Run(policy.String(), func(t *testing.T) {
+			nw := disconnectedNet(t, policy)
+			st := mustBatches(t, nw, [][]Message{{
+				{SrcEP: 0, DstEP: 1}, // within component A
+				{SrcEP: 0, DstEP: 2}, // crosses the partition: dropped
+				{SrcEP: 2, DstEP: 3}, // within component B
+			}})
+			if st.Offered != 3 || st.Delivered != 2 || st.Dropped != 1 {
+				t.Errorf("offered/delivered/dropped = %d/%d/%d want 3/2/1",
+					st.Offered, st.Delivered, st.Dropped)
+			}
+		})
 	}
 }
 

@@ -354,6 +354,11 @@ func (g *Grid) validate() error {
 	default:
 		return fmt.Errorf("sweep: unknown measure %d", int(g.Measure))
 	}
+	for _, p := range g.Policies {
+		if !p.Valid() {
+			return fmt.Errorf("sweep: unknown policy %d", int(p))
+		}
+	}
 	if g.OmitIntact && len(g.Faults) == 0 && len(g.Schedules) == 0 {
 		return fmt.Errorf("sweep: OmitIntact with no fault or schedule axis leaves an empty grid")
 	}

@@ -284,6 +284,8 @@ func TestValidate(t *testing.T) {
 		{Instances: testInstances(t), Measure: MeasureSaturation, OmitIntact: true},
 		{Instances: testInstances(t), Measure: MeasureSaturation,
 			Faults: []FaultAxis{{Kind: fault.Links, Fraction: 0}}},
+		{Instances: testInstances(t), Measure: MeasureSaturation,
+			Policies: []routing.Policy{routing.Minimal, routing.UGALL + 1}},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {

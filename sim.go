@@ -17,8 +17,6 @@ const (
 	RoutingValiant = routing.Valiant
 	// RoutingUGAL chooses adaptively using local queue state (UGAL-L).
 	RoutingUGAL = routing.UGALL
-	// RoutingUGALGlobal uses sampled whole-path backlog (UGAL-G).
-	RoutingUGALGlobal = routing.UGALG
 )
 
 // Traffic patterns (§VI-C).
@@ -58,10 +56,6 @@ type SimConfig struct {
 	PacketFlits   int64
 	RouterLatency int64
 	LinkLatency   int64
-	// BufferPackets bounds every output queue (0 = unbounded); finite
-	// buffers propagate backpressure upstream like the paper's 64 KB
-	// router buffers.
-	BufferPackets int
 	// Seed drives all randomness.
 	Seed int64
 	// Table selects the routing-table storage backend (the zero value
@@ -71,8 +65,8 @@ type SimConfig struct {
 	// in parallel (0 and 1: one shard, on the calling goroutine).
 	// Results are identical for every value — event order and routing
 	// randomness derive from canonical message identities — so Workers
-	// only trades wall-clock time for cores. UGAL-G, finite buffers and
-	// tiny topologies always run on one shard. See DESIGN.md §10.
+	// only trades wall-clock time for cores. Tiny topologies (fewer than
+	// four routers per shard) run on fewer shards. See DESIGN.md §10.
 	Workers int
 }
 
@@ -89,9 +83,8 @@ type Sim struct {
 
 // Simulate prepares a simulator for the network, building the routing
 // table once with the storage backend selected by cfg.Table; reuse the
-// Sim for multiple runs. Invalid configurations (bad concentration,
-// latencies, or a dead-router mask that does not match the graph)
-// surface as errors.
+// Sim for multiple runs. Invalid configurations (an unknown policy, a
+// dead-router mask that does not match the graph) surface as errors.
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
 	table := routing.NewTableOpts(n.G, cfg.Table)
 	nw, err := simnet.New(simnet.Config{
@@ -100,7 +93,6 @@ func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
 		PacketFlits:   cfg.PacketFlits,
 		RouterLatency: cfg.RouterLatency,
 		LinkLatency:   cfg.LinkLatency,
-		BufferPackets: cfg.BufferPackets,
 		DeadRouters:   n.failedRouters,
 		Policy:        cfg.Policy,
 		Seed:          cfg.Seed,
